@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <shared_mutex>
 #include <system_error>
 #include <utility>
 
@@ -24,6 +26,11 @@ namespace {
 std::atomic<long long> g_write_fault_budget{-1};
 std::atomic<bool> g_commit_fault{false};
 std::atomic<bool> g_sync_fault{false};
+
+/// The crash-image gate (see ScopedWriteFreeze): visible mutations hold
+/// it shared, a freeze holds it exclusive. Never taken nested.
+std::shared_mutex g_write_gate;
+using WriteGate = std::shared_lock<std::shared_mutex>;
 
 /// Returns how many of \p size bytes the fault budget allows (all of them
 /// when injection is disabled) and burns the budget.
@@ -60,6 +67,7 @@ std::string ParentDir(const std::string& path) {
 /// Full-write loop: write(2) may be short on signals/pipes.
 Status WriteAll(int fd, const uint8_t* data, size_t size,
                 const std::string& path) {
+  const WriteGate gate(g_write_gate);
   const size_t allowed = AllowedBytes(size);
   size_t done = 0;
   while (done < allowed) {
@@ -103,6 +111,10 @@ void SetSyncFaultForTesting(bool fail) {
   g_sync_fault.store(fail, std::memory_order_relaxed);
 }
 
+ScopedWriteFreeze::ScopedWriteFreeze() { g_write_gate.lock(); }
+
+ScopedWriteFreeze::~ScopedWriteFreeze() { g_write_gate.unlock(); }
+
 Status SyncDirectory(const std::string& dir) {
 #ifdef PPQ_FSIO_POSIX
   const int fd = ::open(dir.c_str(), O_RDONLY);
@@ -118,6 +130,7 @@ Status SyncDirectory(const std::string& dir) {
 }
 
 Status RenameFile(const std::string& from, const std::string& to) {
+  const WriteGate gate(g_write_gate);
   if (std::rename(from.c_str(), to.c_str()) != 0) {
     return ErrnoError("rename failed", from + " -> " + to);
   }
@@ -139,6 +152,7 @@ Result<std::vector<uint8_t>> ReadAllBytes(const std::string& path) {
 
 Status TruncateFile(const std::string& path, uint64_t size) {
 #ifdef PPQ_FSIO_POSIX
+  const WriteGate gate(g_write_gate);
   const int fd = ::open(path.c_str(), O_WRONLY);
   if (fd < 0) return ErrnoError("cannot open for truncation", path);
   if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
@@ -153,6 +167,7 @@ Status TruncateFile(const std::string& path, uint64_t size) {
   if (rc != 0) return ErrnoError("fsync failed", path);
   return Status::OK();
 #else
+  const WriteGate gate(g_write_gate);
   std::error_code ec;
   std::filesystem::resize_file(path, size, ec);
   if (ec) {
@@ -173,7 +188,11 @@ Status DirectoryLock::Acquire(const std::string& path) {
   if (fd_ >= 0) {
     return Status::Internal("DirectoryLock: already holding " + path_);
   }
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  int fd = -1;
+  {
+    const WriteGate gate(g_write_gate);
+    fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  }
   if (fd < 0) return ErrnoError("cannot open lock file", path);
   if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
     const int err = errno;
@@ -223,11 +242,13 @@ void AtomicFileWriter::Abandon() {
   if (fd_ >= 0) ::close(fd_);
 #endif
   fd_ = -1;
+  const WriteGate gate(g_write_gate);
   std::remove(tmp_path_.c_str());
 }
 
 Status AtomicFileWriter::Open() {
 #ifdef PPQ_FSIO_POSIX
+  const WriteGate gate(g_write_gate);
   fd_ = ::open(tmp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) return ErrnoError("cannot open for writing", tmp_path_);
   return Status::OK();
@@ -265,13 +286,17 @@ Status AtomicFileWriter::Commit() {
   const bool close_failed = ::close(fd_) != 0;
   fd_ = -1;
   if (close_failed || g_commit_fault.exchange(false)) {
-    std::remove(tmp_path_.c_str());
+    {
+      const WriteGate gate(g_write_gate);
+      std::remove(tmp_path_.c_str());
+    }
     return close_failed ? ErrnoError("close failed", tmp_path_)
                         : Status::IOError("close failed (injected fault): " +
                                           tmp_path_);
   }
   Status status = RenameFile(tmp_path_, path_);
   if (!status.ok()) {
+    const WriteGate gate(g_write_gate);
     std::remove(tmp_path_.c_str());
     return status;
   }
@@ -305,6 +330,7 @@ Status LogFile::Open(const std::string& path, bool truncate) {
 #ifdef PPQ_FSIO_POSIX
   if (fd_ >= 0) return Status::IOError("LogFile: already open");
   const int flags = O_WRONLY | O_CREAT | O_APPEND | (truncate ? O_TRUNC : 0);
+  const WriteGate gate(g_write_gate);
   fd_ = ::open(path.c_str(), flags, 0644);
   if (fd_ < 0) return ErrnoError("cannot open log", path);
   path_ = path;

@@ -32,7 +32,9 @@
 /// writes start failing after N more bytes, and
 /// SetCommitFaultForTesting(true) makes the next AtomicFileWriter::Commit
 /// fail its close-flush — simulating torn writes and ENOSPC-at-close
-/// without a real full disk. Not for production code paths.
+/// without a real full disk. ScopedWriteFreeze holds every writer between
+/// two file-system steps so a test can image a live directory at one
+/// instant. Not for production code paths.
 
 namespace ppq {
 
@@ -166,5 +168,24 @@ void SetCommitFaultForTesting(bool fail);
 /// inside Close) fails with an injected IOError — simulating a dying
 /// disk under the WAL group-commit barrier. Global; tests must reset it.
 void SetSyncFaultForTesting(bool fail);
+
+/// \brief Test hook: the crash-image gate. While one is alive, every
+/// fsio call that changes what a directory listing or a read would see
+/// (create, write, truncate, rename, remove) blocks before it touches the
+/// file system, from any thread; the constructor first waits out the
+/// calls already in flight. The on-disk state is then exactly what a
+/// process crash between two file-system steps leaves behind, so a test
+/// can copy a live repository directory while background seals run and
+/// get a point-in-time image instead of a torn mix of before and after.
+/// The holder must not write through fsio itself (it would wait on its
+/// own freeze).
+class ScopedWriteFreeze {
+ public:
+  ScopedWriteFreeze();
+  ~ScopedWriteFreeze();
+
+  ScopedWriteFreeze(const ScopedWriteFreeze&) = delete;
+  ScopedWriteFreeze& operator=(const ScopedWriteFreeze&) = delete;
+};
 
 }  // namespace ppq

@@ -6,10 +6,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,29 +22,28 @@
 ///    participates as worker 0, so a pool of size N uses N-1 background
 ///    threads and a pool of size 1 degenerates to an inline loop with zero
 ///    synchronization — serial and parallel runs share one code path.
-///  - Post / Submit: enqueue one task for asynchronous execution on a
-///    background worker (Submit additionally returns a std::future for the
-///    task's result). This is the substrate of the futures-based
-///    QueryService: many producer threads Post concurrently, the pool
-///    drains. On a pool of size 1 (no background workers) the task runs
-///    inline in the calling thread — serialized against other inline
-///    work, so two concurrent posters never both execute as worker 0 —
-///    and code written against Post/Submit degenerates to synchronous
-///    execution instead of deadlocking. (Corollary: on a size-1 pool, do
-///    not Post/Submit from inside a task or ParallelFor callback; the
-///    inline serialization would self-deadlock.)
+///  - Post: enqueue one task for asynchronous execution on a background
+///    worker (the live repository's background seals run this way). Many
+///    producer threads may Post concurrently; the pool drains. On a pool
+///    of size 1 (no background workers) the task runs inline in the
+///    calling thread — serialized against other inline work, so two
+///    concurrent posters never both execute as worker 0 — and code
+///    written against Post degenerates to synchronous execution instead
+///    of deadlocking. (Corollary: on a size-1 pool, do not Post from
+///    inside a task or ParallelFor callback; the inline serialization
+///    would self-deadlock.)
 ///
 /// Thread-safety contract: ParallelFor is NOT reentrant and must not be
 /// called from two threads at once (one executor batch at a time). Post
-/// and Submit ARE safe to call from any number of threads concurrently,
+/// IS safe to call from any number of threads concurrently,
 /// including while a ParallelFor is in flight (workers prefer the
 /// ParallelFor job, then drain the task queue). The callback receives
 /// (worker, index) / (worker) with worker < size(), letting callers
 /// maintain per-worker scratch without locks. Indices are each executed
 /// exactly once; completion of ParallelFor happens-after every callback.
 /// Destruction drains: tasks already Posted run to completion before the
-/// workers join, so futures obtained from Submit never dangle — but no new
-/// Post/Submit/ParallelFor may race with the destructor.
+/// workers join — but no new Post/ParallelFor may race with the
+/// destructor.
 ///
 /// The lock discipline is machine-checked: every guarded field carries
 /// PPQ_GUARDED_BY(mu_) and `clang -Wthread-safety` proves each access
@@ -88,24 +84,16 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t size() const { return num_threads_; }
-  /// Background workers available to Post/Submit (0 for a pool of size 1,
+  /// Background workers available to Post (0 for a pool of size 1,
   /// whose queued tasks run inline in the posting thread).
   size_t num_background() const { return workers_.size(); }
-
-  /// \brief Tasks currently queued via Post/Submit and not yet picked up,
-  /// read lock-free (racing posts/pops may be off by a few) — the
-  /// observability layer exports this as a queue-depth gauge without
-  /// touching mu_.
-  size_t ApproxQueuedTasks() const {
-    return approx_queued_.load(std::memory_order_relaxed);
-  }
 
   /// \brief Enqueue \p task for asynchronous execution on a background
   /// worker. Safe to call from any thread, any number of threads at once.
   /// With no background workers (pool size 1) the task runs inline before
   /// Post returns. Tasks posted before destruction are guaranteed to run.
   /// Posted tasks must not throw (there is nowhere to deliver the
-  /// exception); use Submit when the task can fail.
+  /// exception).
   void Post(PostedTask task) PPQ_EXCLUDES(mu_, inline_mu_) {
     if (workers_.empty()) {
       // Serialized: concurrent posters must not both run as worker 0
@@ -117,23 +105,8 @@ class ThreadPool {
     {
       MutexLock lock(mu_);
       queue_.push_back(std::move(task));
-      approx_queued_.fetch_add(1, std::memory_order_relaxed);
     }
     wake_cv_.NotifyOne();
-  }
-
-  /// \brief Post \p fn (signature `R(size_t worker)`) and return a
-  /// std::future for its result; exceptions thrown by the task surface
-  /// through the future. Same execution guarantees as Post.
-  template <typename Fn>
-  auto Submit(Fn fn) -> std::future<std::invoke_result_t<Fn&, size_t>> {
-    using R = std::invoke_result_t<Fn&, size_t>;
-    // packaged_task is move-only; PostedTask (std::function) needs a
-    // copyable callable, so the task rides behind a shared_ptr.
-    auto task = std::make_shared<std::packaged_task<R(size_t)>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    Post([task](size_t worker) { (*task)(worker); });
-    return future;
   }
 
   /// Run fn(worker, i) for every i in [0, count), spread over all workers.
@@ -143,7 +116,7 @@ class ThreadPool {
   void ParallelFor(size_t count, const Task& fn) PPQ_EXCLUDES(mu_, inline_mu_) {
     if (count == 0) return;
     if (workers_.empty()) {
-      // Inline path on a size-1 pool: serialize with inline Post/Submit
+      // Inline path on a size-1 pool: serialize with inline Post
       // tasks so worker 0 is never two threads at once.
       MutexLock inline_lock(inline_mu_);
       RunInline(count, fn);
@@ -217,7 +190,6 @@ class ThreadPool {
       if (!queue_.empty()) {
         PostedTask task = std::move(queue_.front());
         queue_.pop_front();
-        approx_queued_.fetch_sub(1, std::memory_order_relaxed);
         lock.Unlock();
         task(worker);
         lock.Lock();
@@ -252,7 +224,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 
   /// Serializes worker-0 execution on a pool with no background workers
-  /// (inline Post/Submit vs. each other and vs. inline ParallelFor).
+  /// (inline Post vs. each other and vs. inline ParallelFor).
   Mutex inline_mu_;
   Mutex mu_;
   CondVar wake_cv_;  ///< workers wait here for a job
@@ -263,13 +235,10 @@ class ThreadPool {
   size_t runners_ PPQ_GUARDED_BY(mu_) = 0;
   uint64_t generation_ PPQ_GUARDED_BY(mu_) = 0;
   std::exception_ptr first_error_ PPQ_GUARDED_BY(mu_) = nullptr;
-  std::deque<PostedTask> queue_ PPQ_GUARDED_BY(mu_);  ///< Post/Submit tasks
+  std::deque<PostedTask> queue_ PPQ_GUARDED_BY(mu_);  ///< Post tasks
   bool stop_ PPQ_GUARDED_BY(mu_) = false;
   /// Atomic so index claiming stays lock-free on the hot path.
   std::atomic<size_t> next_{0};
-  /// Mirrors queue_.size() for the lock-free ApproxQueuedTasks() reader
-  /// (mutations happen under mu_, reads don't).
-  std::atomic<size_t> approx_queued_{0};
 };
 
 }  // namespace ppq

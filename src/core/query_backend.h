@@ -9,32 +9,29 @@
 #include "core/query_types.h"
 
 /// \file query_backend.h
-/// The one abstract serving surface of the stack. Every serving front-end
-/// — core::QueryService over one sealed snapshot, repo::ShardedQueryService
-/// over a sealed sharded repository, repo::LiveQueryService over a live
-/// ingesting repository — already spoke the same four verbs; this
-/// interface names them so benches, examples, and the backend-conformance
-/// suite (tests/query_backend_test.cc) can be written once against
-/// QueryBackend and inherited by every future implementation:
+/// The abstract serving surface of the stack. It has one implementation,
+/// core::QueryService (query_service.h), which serves one snapshot, a
+/// sealed sharded repository (through the named constructor
+/// repo::ShardedQueryService) or a live ingesting repository
+/// (repo::LiveQueryService) with one per-shard evaluator. Benches,
+/// examples and the backend-conformance suite
+/// (tests/query_backend_test.cc) are written once against its four verbs:
 ///
 ///   Submit(QueryRequest)        -> std::future<QueryResponse>
 ///   SubmitBatch(requests)       -> one future per request
 ///   CancelPending()             -> fail queued-but-unstarted requests
 ///   UpdateView(ServingView)     -> hot-swap what is being served
 ///
-/// UpdateView replaced the per-backend swap verbs (UpdateSnapshot /
-/// UpdateRepository, removed after their one-PR deprecation cycle). Each
-/// backend serves exactly one view type — a SummarySnapshot, a
-/// RepositorySnapshot, a LiveRepository — and the view travels through the
-/// type-erased ServingView so the interface can live in core without core
-/// depending on the repo layer. Handing a backend the wrong view type
-/// throws std::invalid_argument; nothing is swapped.
+/// A service serves the one view type it was constructed with — a
+/// SummarySnapshot, a RepositorySnapshot, a LiveRepository — and the view
+/// travels through the type-erased ServingView so the interface can live
+/// in core without core depending on the repo layer. Handing a service
+/// another view type throws std::invalid_argument; nothing is swapped.
 ///
-/// Thread-safety contract (identical across implementations): all four
-/// verbs are safe from any number of threads; UpdateView is an atomic
-/// swap that never blocks serving, and every in-flight request finishes
-/// entirely on the view it pinned at evaluation start; destruction
-/// drains every submitted future.
+/// Thread-safety contract: all four verbs are safe from any number of
+/// threads; UpdateView is an atomic swap that never blocks serving, and
+/// every in-flight request finishes entirely on the views it pinned at
+/// evaluation start; destruction drains every submitted future.
 
 namespace ppq::core {
 
@@ -69,9 +66,6 @@ class ServingView {
     return std::static_pointer_cast<const T>(handle_);
   }
 
-  /// Whether any typed pointer (even a null one) was stored.
-  bool has_value() const { return type_ != nullptr; }
-
  private:
   std::shared_ptr<const void> handle_;
   const std::type_info* type_ = nullptr;
@@ -101,9 +95,8 @@ class QueryBackend {
   /// \brief Hot-swap the served view. The swap is atomic and never blocks
   /// serving: in-flight requests finish on the view they pinned, later
   /// dispatches see the new one. \throws std::invalid_argument when \p
-  /// view does not hold this backend's view type, is null, or fails the
-  /// backend's construction-time validation; the served view is then
-  /// unchanged.
+  /// view does not hold the service's view type, is null, or fails the
+  /// construction-time validation; the served view is then unchanged.
   virtual void UpdateView(ServingView view) = 0;
 
   /// Dedicated serving workers of this backend.

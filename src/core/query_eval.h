@@ -16,9 +16,9 @@
 /// \file query_eval.h
 /// The spatio-temporal query algorithms of Section 5.2 (STRQ local search,
 /// window queries, expanding-ring k-NN), written once as templates over a
-/// minimal Reader concept so that the serial QueryEngine, the async
-/// QueryService, and the sharded scatter-gather router evaluate *the same
-/// code* — results are byte-identical by construction, whichever path (and
+/// minimal Reader concept so that the serial QueryEngine and every
+/// per-shard leg of the async QueryService evaluate *the same code* —
+/// results are byte-identical by construction, whichever path (and
 /// whichever thread count) served them.
 ///
 /// A Reader provides:

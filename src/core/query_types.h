@@ -12,8 +12,8 @@
 /// The one shared query vocabulary of the serving stack: query
 /// specifications, evaluation modes, result shapes, and the closed
 /// QueryRequest / QueryResponse sum types spoken by every serving path —
-/// the single-query QueryEngine, the futures-based QueryService, and the
-/// sharded scatter-gather ShardedQueryService. Kept free of any engine
+/// the single-query QueryEngine and the futures-based QueryService (with
+/// its sharded and live named constructors). Kept free of any engine
 /// state so all paths speak exactly the same types.
 
 namespace ppq::core {
@@ -168,8 +168,8 @@ enum class ServeStage : size_t {
   kScan = 1,    ///< candidate scan: grid/index probes + sort/unique
   kDecode = 2,  ///< summary reconstruction (Reconstruct/ReconstructSpan)
   kKernel = 3,  ///< SIMD kernel eval + verification loops
-  kTail = 4,    ///< live-tail scan (LiveQueryService only)
-  kMerge = 5,   ///< scatter-gather merge (sharded/live backends)
+  kTail = 4,    ///< live-tail scan (shards with a tail only)
+  kMerge = 5,   ///< merge of the per-shard legs
 };
 
 inline constexpr size_t kNumServeStages = 6;
@@ -198,15 +198,15 @@ struct QueryStats {
   /// Compact per-stage wall-time breakdown, indexed by ServeStage. The
   /// sub-stages of the evaluation (scan/decode/kernel/tail/merge) sum to
   /// at most eval_micros (each stage truncates to whole micros);
-  /// stage_micros[kQueue] == queue_micros. Stages a backend does not run
-  /// (e.g. tail outside LiveQueryService) stay 0.
+  /// stage_micros[kQueue] == queue_micros. Stages a request does not run
+  /// (e.g. tail when no shard has a tail) stay 0.
   std::array<uint64_t, kNumServeStages> stage_micros{};
-  /// Freshness: the seal epoch this response was served from.
-  /// QueryService / ShardedQueryService report the number of UpdateView
-  /// swaps applied to the view they pinned (0 = the construction view);
-  /// LiveQueryService reports the oldest per-shard seal generation the
-  /// response drew on — under live ingest a response is therefore never
-  /// staler than the one watermark separating epoch N from N+1.
+  /// Freshness: the minimum seal epoch over the shard views the response
+  /// pinned. A sealed source's views (one snapshot, a sealed repository)
+  /// are stamped with the number of UpdateView swaps applied (0 = the
+  /// construction view); a live shard's view carries its seal generation,
+  /// so under live ingest a response is never staler than the one
+  /// watermark separating epoch N from N+1.
   uint64_t seal_epoch = 0;
 };
 

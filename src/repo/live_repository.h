@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/compressor.h"
+#include "core/shard_view.h"
 #include "obs/metrics.h"
 #include "repo/repository_snapshot.h"
 #include "repo/shard_map.h"
@@ -85,38 +86,16 @@ inline constexpr Tick kNoTickYet = std::numeric_limits<Tick>::min();
 /// which would orphan a flock held on it — see common::DirectoryLock).
 inline constexpr char kRepositoryLockFileName[] = "LOCK";
 
-/// \brief One immutable link of a shard's queryable tail: the points of
-/// one Append (one tick, one shard), chained newest-first. Chains are
-/// persistent — publishing a new chunk never mutates older ones — so a
-/// reader that pinned a view scans a frozen tail while appends continue.
-struct LiveTailChunk {
-  TimeSlice slice;
-  std::shared_ptr<const LiveTailChunk> prev;
-};
-using LiveTailPtr = std::shared_ptr<const LiveTailChunk>;
-
-/// \brief A shard's atomically-published serving view: the summary seal
-/// for ticks <= sealed_through, the raw tail for ticks > sealed_through
-/// (disjoint by construction — the seal cut moves, points do not), and
-/// the seal generation. Immutable; swapped wholesale on every append and
-/// every seal, so readers can never observe a half-rolled shard.
-struct LiveShardView {
-  /// Never null: a fresh shard publishes its compressor's empty seal.
-  core::SnapshotPtr sealed;
-  /// Inclusive: every tick <= sealed_through is answered by `sealed`.
-  Tick sealed_through = kNoTickYet;
-  /// Newest-first chunk chain; ticks non-increasing along the chain and
-  /// all > sealed_through.
-  LiveTailPtr tail;
-  size_t tail_points = 0;
-  /// Seal generation: +1 per completed background seal of this shard.
-  uint64_t seal_epoch = 0;
-};
-using LiveShardViewPtr = std::shared_ptr<const LiveShardView>;
+/// A shard's tail chunks and serving view are core's (core/shard_view.h):
+/// the backend reads a live shard exactly like a sealed one.
+using LiveTailChunk = core::TailChunk;
+using LiveTailPtr = core::TailPtr;
+using LiveShardView = core::ShardView;
+using LiveShardViewPtr = core::ShardViewPtr;
 
 /// \brief Hash-partitioned streaming repository: double-buffered per-shard
 /// segments, watermark-triggered background seals, always-queryable tail.
-class LiveRepository {
+class LiveRepository : public core::LiveSource {
  public:
   /// Builds one shard's compressor; same contract as ShardedRepository
   /// (identically configured, distinct instances).
@@ -166,13 +145,13 @@ class LiveRepository {
 
   /// Waits for in-flight background seals (the internal pool drains
   /// before any shard state dies).
-  ~LiveRepository();
+  ~LiveRepository() override;
 
   LiveRepository(const LiveRepository&) = delete;
   LiveRepository& operator=(const LiveRepository&) = delete;
 
   const ShardMap& shard_map() const { return map_; }
-  uint32_t num_shards() const { return map_.num_shards; }
+  uint32_t num_shards() const override { return map_.num_shards; }
   const Options& options() const { return options_; }
 
   /// \brief Absorb one batch of same-tick points, from any thread. The
@@ -212,7 +191,7 @@ class LiveRepository {
   const std::string& dir() const { return dir_; }
 
   /// The shard's current serving view (one atomic load; never null).
-  LiveShardViewPtr ShardView(size_t shard) const;
+  LiveShardViewPtr ShardView(size_t shard) const override;
 
   /// \brief Assemble the last sealed state of every shard into a phased
   /// RepositorySnapshot (persistable via RepositorySnapshot::Save). Tail

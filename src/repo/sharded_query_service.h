@@ -1,163 +1,46 @@
 #pragma once
 
-#include <atomic>
-#include <future>
-#include <memory>
-#include <vector>
+#include <stdexcept>
+#include <utility>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "common/types.h"
-#include "core/query_backend.h"
-#include "core/query_dispatch.h"
-#include "core/query_types.h"
-#include "core/summary.h"
+#include "core/query_service.h"
 #include "repo/repository_snapshot.h"
 
 /// \file sharded_query_service.h
-/// The scatter-gather query router over a sharded repository — the
-/// RepositorySnapshot implementation of core::QueryBackend, so callers
-/// cannot tell one snapshot from N shards apart except by throughput:
-///
-///  - STRQ / window scatter to every shard's index and union-merge the
-///    per-shard matches in ascending trajectory id (shards partition ids,
-///    so the union is disjoint and the merged ordering is exactly the
-///    unsharded engine's).
-///  - k-NN scatter-gathers each shard's top-k and re-merges by
-///    (distance, id) — the same deterministic tie-break the unsharded
-///    ranking uses, so ties at shard boundaries resolve identically — and
-///    truncates to k.
-///  - TPQ scatters its underlying STRQ; each matched trajectory's path is
-///    reconstructed on the shard that owns the id (only the owning shard
-///    holds its summary), and the (id, path) pairs re-merge by id.
-///    (The merges themselves live in result_merge.h, shared with the
-///    live router's seal/tail union.)
-///  - QueryStats aggregate across shards: candidates_visited and
-///    points_decoded are summed (each equals the unsharded count for the
-///    same snapshots), decode/eval micros cover the whole scatter-gather,
-///    and seal_epoch is the number of UpdateView swaps applied to the
-///    pinned repository seal.
-///
-/// Every response is byte-identical to evaluating the same request
-/// per shard with the serial QueryEngine and merging serially — enforced
-/// at N in {1, 2, 4} shards by tests/sharded_query_service_test.cc — and
-/// a 1-shard repository answers byte-identically to the unsharded
-/// QueryService.
-///
-/// Concurrency model: one internally synchronized worker pool; each
-/// request is evaluated by one worker, which pins the WHOLE repository
-/// seal with a single atomic load before touching any shard. Parallelism
-/// comes from concurrent requests across workers; a single request walks
-/// its shards sequentially on one worker (per-shard index probes are
-/// cheap, and cross-request throughput is what a serving fleet buys —
-/// per-request shard fan-out is a listed ROADMAP follow-on). Pinning the
-/// repository atomically, rather than per shard, is what makes
-/// UpdateView semantics exact: every response is computed entirely
-/// against ONE repository seal, never a mix of old and new shards (the
-/// TSan suite races submitters against hot swaps and checks exactly
-/// that). Workers keep one DecodeMemo per shard, tagged by the pinned
-/// repository seal; UpdateView eagerly sweeps idle workers' scratch
-/// like QueryService does.
+/// The named constructor of core::QueryService over a sealed sharded
+/// repository: one leg per shard, scatter-gathered through
+/// core/result_merge.h, so callers cannot tell one snapshot from N shards
+/// apart except by throughput. Every response is byte-identical to
+/// evaluating the request per shard with the serial QueryEngine and
+/// merging serially (tests/sharded_query_service_test.cc, N in {1, 2,
+/// 4}), and a 1-shard repository answers byte-identically to one
+/// snapshot. The whole repository is pinned with one atomic load, so a
+/// response never mixes shards of two UpdateView swaps; seal_epoch is the
+/// swap count. UpdateView takes a RepositorySnapshot.
 
 namespace ppq::repo {
 
-/// \brief Futures-based scatter-gather serving front-end over an
-/// atomically hot-swappable RepositorySnapshot.
-class ShardedQueryService : public core::QueryBackend {
+class ShardedQueryService : public core::QueryService {
  public:
-  struct Options {
-    /// Dedicated serving workers; 0 = hardware concurrency.
-    size_t num_threads = 0;
-    /// Raw dataset for StrqMode::kExact verification, owned by the
-    /// service; ids are global, so one dataset serves every shard. May be
-    /// null (exact mode then degenerates like the serial engine's).
-    std::shared_ptr<const TrajectoryDataset> raw;
-    /// Evaluation grid cell size gc.
-    double cell_size = 0.001;
-    /// Per-worker decode-scratch budget across all shards, in points.
-    size_t scratch_budget_points = size_t{1} << 22;
-  };
-
   /// \throws std::invalid_argument when \p repository is null or
-  /// options.raw holds fewer trajectories than the repository serves
-  /// across its shards.
-  ShardedQueryService(RepositorySnapshotPtr repository, Options options);
-
-  /// Drains: blocks until every submitted request has resolved.
-  ~ShardedQueryService() override;
-
-  ShardedQueryService(const ShardedQueryService&) = delete;
-  ShardedQueryService& operator=(const ShardedQueryService&) = delete;
-
-  std::future<core::QueryResponse> Submit(core::QueryRequest request) override {
-    return dispatcher_.Submit(std::move(request));
-  }
-
-  std::vector<std::future<core::QueryResponse>> SubmitBatch(
-      std::vector<core::QueryRequest> requests) override {
-    return dispatcher_.SubmitBatch(std::move(requests));
-  }
-
-  size_t CancelPending() override { return dispatcher_.CancelPending(); }
-
-  /// \brief Hot-swap the served repository seal
-  /// (core::QueryBackend::UpdateView; \p view must hold a
-  /// RepositorySnapshot) — one atomic shared_ptr exchange, so in-flight
-  /// requests finish entirely on the seal they pinned and later
-  /// dispatches see the new one; no response ever mixes shards from two
-  /// seals. Then eagerly sweeps idle workers' stale per-shard scratch.
-  /// Validates like the constructor.
-  void UpdateView(core::ServingView view) override;
+  /// options.raw holds fewer trajectories than it serves across shards.
+  ShardedQueryService(RepositorySnapshotPtr repository, Options options)
+      : QueryService(std::move(repository), std::move(options), &Resolve) {}
 
   /// The currently served repository seal.
   RepositorySnapshotPtr repository() const {
-    return std::atomic_load_explicit(&served_, std::memory_order_acquire)
-        ->repository;
-  }
-
-  /// The current seal epoch: the number of UpdateView swaps applied.
-  uint64_t seal_epoch() const {
-    return std::atomic_load_explicit(&served_, std::memory_order_acquire)
-        ->epoch;
-  }
-
-  size_t num_threads() const override { return num_workers_; }
-  double cell_size() const { return options_.cell_size; }
-  const std::shared_ptr<const TrajectoryDataset>& raw() const {
-    return options_.raw;
+    return view().As<RepositorySnapshot>();
   }
 
  private:
-  /// The served seal boxed with its epoch so one atomic load pins both.
-  struct ServedRepository {
-    RepositorySnapshotPtr repository;
-    uint64_t epoch = 0;
-  };
-  using ServedRepositoryPtr = std::shared_ptr<const ServedRepository>;
-
-  /// Per-worker decode scratch: one memo per shard, all tagged by the one
-  /// repository seal they index (held, so the tag is ABA-safe).
-  struct WorkerState {
-    Mutex mu;
-    std::vector<core::DecodeMemo> memos PPQ_GUARDED_BY(mu);
-    RepositorySnapshotPtr memo_repository PPQ_GUARDED_BY(mu);
-  };
-
-  void Validate(const RepositorySnapshotPtr& repository) const;
-  core::QueryResponse Evaluate(const core::QueryRequest& request,
-                               WorkerState& state);
-
-  Options options_;
-  size_t num_workers_;
-  /// Accessed only through std::atomic_load/atomic_store.
-  ServedRepositoryPtr served_;
-  /// Monotonic swap counter; the next swap publishes epoch_+1.
-  std::atomic<uint64_t> epoch_{0};
-
-  /// Queue + pool + per-worker state (core::QueryDispatcher — the exact
-  /// substrate QueryService runs on); declared last so it is destroyed
-  /// FIRST and drains against the still-alive members above.
-  core::QueryDispatcher<WorkerState> dispatcher_;
+  static Resolved Resolve(const core::ServingView& view) {
+    const RepositorySnapshotPtr repository = view.As<RepositorySnapshot>();
+    if (repository == nullptr) {
+      throw std::invalid_argument(
+          "ShardedQueryService: expected a non-null RepositorySnapshot view");
+    }
+    return {repository->shards(), nullptr};
+  }
 };
 
 }  // namespace ppq::repo

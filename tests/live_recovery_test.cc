@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fsio.h"
 #include "common/serial.h"
 #include "core/ppq_trajectory.h"
 #include "obs/metrics.h"
@@ -65,12 +66,16 @@ std::string FreshDir(const char* name) {
   return path;
 }
 
-/// The power-loss image: copy the backing directory while the source
+/// The crash image: copy the backing directory while the source
 /// repository is still live (no Quiesce, no shutdown, no WAL close).
-/// Recovery must resurrect the copy from whatever on-disk state the
-/// crash instant froze.
+/// The write freeze holds every writer, background seals included,
+/// between two file-system steps for the length of the copy, so the
+/// image is the directory at one instant (a copy racing a seal's rename
+/// would mix states no crash can produce). Recovery must resurrect the
+/// copy from whatever on-disk state that instant froze.
 std::string CrashImage(const std::string& dir, const char* name) {
   const std::string image = FreshDir(name);
+  const ScopedWriteFreeze freeze;
   std::error_code ec;
   std::filesystem::copy(dir, image,
                         std::filesystem::copy_options::recursive, ec);

@@ -182,6 +182,46 @@ TEST(LiveRepositoryTest, TailServesEveryPointBeforeAnySeal) {
       EXPECT_EQ(response.stats.seal_epoch, 0u);
     }
   }
+
+  // TPQ at the ends of the tick range — neither span may overflow Tick
+  // (the sanitizer CI job checks). Sealed through a positive cut, a
+  // request at the first representable tick finds nothing...
+  live->RollAll();
+  live->Quiesce();
+  const QueryResponse below =
+      service
+          .Submit(core::TpqRequest{
+              QuerySpec{data->SliceAt(data->MinTick()).positions[0],
+                        std::numeric_limits<Tick>::min()},
+              8, StrqMode::kExact})
+          .get();
+  ASSERT_TRUE(below.ok());
+  EXPECT_TRUE(below.tpq().ids.empty());
+
+  // ...and a tail path running into the last representable tick stops
+  // there.
+  constexpr Tick kLast = std::numeric_limits<Tick>::max();
+  LiveRepository::Options edge_options = options;
+  edge_options.num_shards = 1;
+  const auto edge =
+      std::make_shared<LiveRepository>(PpqAFactory(), edge_options);
+  std::vector<Point> edge_path;
+  for (Tick t = kLast - 2;; ++t) {
+    PointBatch batch(t);
+    batch.Add(9, Point{-8.6 + 0.0001 * (kLast - t), 41.1});
+    ASSERT_TRUE(edge->Append(batch).ok());
+    edge_path.push_back(batch.positions.back());
+    if (t == kLast) break;
+  }
+  LiveQueryService edge_service(edge, serve);
+  const QueryResponse to_end =
+      edge_service
+          .Submit(core::TpqRequest{QuerySpec{edge_path[0], kLast - 2}, 8,
+                                   StrqMode::kExact})
+          .get();
+  ASSERT_TRUE(to_end.ok());
+  ASSERT_EQ(to_end.tpq().ids, std::vector<TrajId>{9});
+  EXPECT_EQ(to_end.tpq().paths[0], edge_path);
 }
 
 // -------------------------------------------------------------------------

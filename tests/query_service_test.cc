@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -272,6 +274,57 @@ TEST(QueryServiceConcurrencyTest, HotSwapReclaimsRetiredSealEagerly) {
   // seal A: the only remaining reference is this test's handle.
   service.UpdateView(seal_b);
   EXPECT_EQ(seal_a.use_count(), 1);
+}
+
+TEST(QueryServiceConcurrencyTest, RacingSwapsPublishEverySwapInOrder) {
+  const auto data =
+      std::make_shared<const TrajectoryDataset>(SmallDataset(73));
+  PpqOptions options = MakePpqA();
+  PpqTrajectory method(options);
+  method.Compress(*data);
+  const SnapshotPtr seal_a = method.Seal();
+  const SnapshotPtr seal_b = method.Seal();
+
+  QueryService::Options serve_options;
+  serve_options.num_threads = 2;
+  serve_options.raw = data;
+  serve_options.cell_size = options.tpi.pi.cell_size;
+  QueryService service(seal_a, serve_options);
+
+  // Several swappers race UpdateView while a reader watches the epoch:
+  // it must never go backwards, and must end at the number of swaps.
+  constexpr int kSwappers = 4;
+  constexpr int kSwapsEach = 100;
+  std::atomic<bool> swapping{true};
+  std::thread watcher([&] {
+    uint64_t last = 0;
+    while (swapping.load(std::memory_order_relaxed)) {
+      const uint64_t epoch = service.seal_epoch();
+      EXPECT_GE(epoch, last);
+      last = epoch;
+    }
+  });
+  std::vector<std::thread> swappers;
+  for (int t = 0; t < kSwappers; ++t) {
+    swappers.emplace_back([&, t] {
+      for (int i = 0; i < kSwapsEach; ++i) {
+        service.UpdateView((i + t) % 2 == 0 ? seal_b : seal_a);
+      }
+    });
+  }
+  for (std::thread& swapper : swappers) swapper.join();
+  swapping.store(false, std::memory_order_relaxed);
+  watcher.join();
+
+  const uint64_t swaps = uint64_t{kSwappers} * kSwapsEach;
+  EXPECT_EQ(service.seal_epoch(), swaps);
+  Rng rng(9);
+  const QueryResponse response =
+      service
+          .Submit(StrqRequest{SampleQueries(*data, 1, &rng)[0],
+                              StrqMode::kLocalSearch})
+          .get();
+  EXPECT_EQ(response.stats.seal_epoch, swaps);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -101,6 +102,14 @@ struct GoldenCase {
   SnapshotPtr (*seal)(const TrajectoryDataset&);
   double cell_size;
 };
+
+/// Names the case by its fixture file's stem. Without this gtest prints
+/// the raw struct bytes, pointers included, so the listed test name would
+/// change with every address-space layout.
+void PrintTo(const GoldenCase& test_case, std::ostream* os) {
+  const std::string file = test_case.file;
+  *os << file.substr(0, file.find('.'));
+}
 
 SnapshotPtr SealPpqA(const TrajectoryDataset& data) {
   auto method = MakeMethod("PPQ-A", PpqOptions{});

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -14,11 +13,10 @@
 /// \file thread_pool_test.cc
 /// The ThreadPool contract: every index runs exactly once, worker ids stay
 /// in range, the pool is reusable across jobs, and the size-1 pool
-/// degenerates to an inline loop — plus the task-queue mode (Post/Submit
-/// futures) that the async QueryService is built on: concurrent
-/// submission, coexistence with ParallelFor, exception delivery through
-/// futures, and drain-on-destruction. These tests are part of the TSan CI
-/// job.
+/// degenerates to an inline loop — plus the task-queue mode (Post) that
+/// the live repository's background seals run on: results delivered
+/// through promises, concurrent posting, coexistence with ParallelFor, and
+/// drain-on-destruction. These tests are part of the TSan CI job.
 
 namespace ppq {
 namespace {
@@ -137,9 +135,11 @@ TEST(ThreadPoolTest, FirstExceptionPropagatesAfterDraining) {
 TEST(ThreadPoolSubmitTest, SubmitResolvesFutureWithTaskResult) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_background(), 3u);
-  std::future<int> future = pool.Submit([](size_t worker) {
+  std::promise<int> promise;
+  std::future<int> future = promise.get_future();
+  pool.Post([&promise](size_t worker) {
     EXPECT_GT(worker, 0u);  // queued tasks run on background workers
-    return 41 + 1;
+    promise.set_value(41 + 1);
   });
   EXPECT_EQ(future.get(), 42);
 }
@@ -148,24 +148,16 @@ TEST(ThreadPoolSubmitTest, SingleThreadPoolRunsSubmitInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_background(), 0u);
   const auto caller = std::this_thread::get_id();
-  std::future<std::thread::id> future =
-      pool.Submit([](size_t worker) {
-        EXPECT_EQ(worker, 0u);
-        return std::this_thread::get_id();
-      });
+  std::promise<std::thread::id> promise;
+  std::future<std::thread::id> future = promise.get_future();
+  pool.Post([&promise](size_t worker) {
+    EXPECT_EQ(worker, 0u);
+    promise.set_value(std::this_thread::get_id());
+  });
   // No background workers: the task already ran, in the posting thread.
   EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_EQ(future.get(), caller);
-}
-
-TEST(ThreadPoolSubmitTest, TaskExceptionsSurfaceThroughTheFuture) {
-  ThreadPool pool(2);
-  std::future<int> future = pool.Submit(
-      [](size_t) -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The worker survives a throwing task.
-  EXPECT_EQ(pool.Submit([](size_t) { return 7; }).get(), 7);
 }
 
 TEST(ThreadPoolSubmitTest, ManyProducersSubmitConcurrently) {
@@ -174,14 +166,21 @@ TEST(ThreadPoolSubmitTest, ManyProducersSubmitConcurrently) {
   constexpr int kPerProducer = 200;
   std::atomic<int> executed{0};
   std::vector<std::thread> producers;
+  std::vector<std::vector<std::promise<int>>> promises(kProducers);
   std::vector<std::vector<std::future<int>>> futures(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    promises[p].resize(kPerProducer);
+    for (auto& promise : promises[p]) {
+      futures[p].push_back(promise.get_future());
+    }
+  }
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        futures[p].push_back(pool.Submit([&, p, i](size_t) {
+        pool.Post([&, p, i](size_t) {
           executed.fetch_add(1, std::memory_order_relaxed);
-          return p * kPerProducer + i;
-        }));
+          promises[p][i].set_value(p * kPerProducer + i);
+        });
       }
     });
   }
@@ -222,15 +221,17 @@ TEST(ThreadPoolSubmitTest, PostCoexistsWithParallelFor) {
 }
 
 TEST(ThreadPoolSubmitTest, DestructionDrainsQueuedTasks) {
+  std::vector<std::promise<int>> promises(500);
   std::vector<std::future<int>> futures;
+  for (auto& promise : promises) futures.push_back(promise.get_future());
   std::atomic<int> executed{0};
   {
     ThreadPool pool(2);
     for (int i = 0; i < 500; ++i) {
-      futures.push_back(pool.Submit([&executed, i](size_t) {
+      pool.Post([&executed, &promises, i](size_t) {
         executed.fetch_add(1, std::memory_order_relaxed);
-        return i;
-      }));
+        promises[i].set_value(i);
+      });
     }
   }  // destructor must run every queued task before joining
   EXPECT_EQ(executed.load(), 500);
