@@ -15,6 +15,8 @@
 ///     though each shard count quantizes differently.
 ///  3. N-shard local-search results contain the exact results (recall 1
 ///     survives sharding).
+///  4. Every N-shard k-NN answer is exactly the first k of the N shards'
+///     reconstructions under (distance, id), found by brute force.
 ///
 /// Output: shared [throughput] lines (phase=encode/seal/save/open/serve)
 /// plus one [shard] line per configuration:
@@ -34,6 +36,7 @@
 #include "bench/bench_common.h"
 #include "common/geo.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "common/timer.h"
 #include "core/metrics.h"
 #include "core/query_backend.h"
@@ -126,6 +129,27 @@ std::vector<Payload> Serve(core::QueryBackend& service,
   }
   *seconds = timer.ElapsedSeconds();
   return payloads;
+}
+
+/// The first k of every shard's reconstructions at the request's tick,
+/// under NeighborOrder — what an exact k-NN over \p repository returns.
+std::vector<core::Neighbor> BruteForceKnn(
+    const repo::RepositorySnapshot& repository, size_t num_ids,
+    const core::KnnRequest& r, std::vector<core::DecodeMemo>* memos) {
+  std::vector<core::Neighbor> all;
+  for (size_t i = 0; i < num_ids; ++i) {
+    const auto id = static_cast<TrajId>(i);
+    const uint32_t s = repository.shard_map().ShardOf(id);
+    const auto p =
+        repository.shard(s)->Reconstruct(id, r.query.tick, &(*memos)[s]);
+    if (!p.ok()) continue;
+    double d = 0.0;
+    simd::Distances(&*p, 1, r.query.position, &d);
+    all.push_back({id, d});
+  }
+  std::sort(all.begin(), all.end(), core::NeighborOrder);
+  if (all.size() > r.k) all.resize(r.k);
+  return all;
 }
 
 bool IsSubset(const std::vector<TrajId>& subset,
@@ -252,7 +276,19 @@ int Run(const BenchOptions& options, uint32_t num_shards,
     if (!IsSubset(n_exact.ids, n_local.ids)) gate3 = false;
   }
 
-  const bool identical = gate1 && gate2 && gate3;
+  // --- Gate 4: N-shard k-NN == brute force over the N-shard seal ---------
+  bool gate4 = true;
+  std::vector<core::DecodeMemo> memos((*opened)->shards().size());
+  for (size_t i = 0; i < workload.requests.size(); ++i) {
+    const auto* r = std::get_if<core::KnnRequest>(&workload.requests[i]);
+    if (r != nullptr &&
+        std::get<std::vector<core::Neighbor>>(served[i]) !=
+            BruteForceKnn(**opened, raw->size(), *r, &memos)) {
+      gate4 = false;
+    }
+  }
+
+  const bool identical = gate1 && gate2 && gate3 && gate4;
   const double qps =
       seconds > 0.0
           ? static_cast<double>(workload.requests.size()) / seconds
@@ -293,6 +329,10 @@ int Run(const BenchOptions& options, uint32_t num_shards,
   if (!gate3) {
     std::fprintf(stderr, "ERROR: local-search lost exact results "
                          "(recall < 1 under sharding)\n");
+  }
+  if (!gate4) {
+    std::fprintf(stderr, "ERROR: a k-NN answer is not the brute-force "
+                         "top-k over the N-shard reconstructions\n");
   }
   return identical ? 0 : 1;
 }

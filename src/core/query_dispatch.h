@@ -32,7 +32,8 @@
 namespace ppq::core {
 
 /// Record one response's stage breakdown into the per-stage serve
-/// histograms (`ppq_serve_<stage>_micros`) and the whole-evaluation one.
+/// histograms (`ppq_serve_<stage>_micros`) and the whole-evaluation one,
+/// and its scan work into `ppq_serve_cells_decoded_total`.
 /// Called once per request by the dispatcher (the only site, so the
 /// registry view and the per-response QueryStats cannot double-count).
 inline void ObserveServeStages(const QueryStats& stats) {
@@ -51,6 +52,9 @@ inline void ObserveServeStages(const QueryStats& stats) {
     hists[i]->Observe(stats.stage_micros[i]);
   }
   hists[kNumServeStages]->Observe(stats.eval_micros);
+  static obs::Counter* const cells =
+      obs::Registry::Default().GetCounter("ppq_serve_cells_decoded_total");
+  cells->Increment(stats.cells_decoded);
 }
 
 /// \brief Internally synchronized request queue drained by a fixed set of

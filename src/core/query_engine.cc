@@ -40,10 +40,9 @@ std::vector<QueryEngine::Neighbor> QueryEngine::NearestTrajectories(
     const QuerySpec& q, size_t k) const {
   if (snapshot_ != nullptr) {
     return eval::NearestTrajectories(SnapshotReader{snapshot_.get(), &memo_},
-                                     cell_size_, q, k);
+                                     q, k);
   }
-  return eval::NearestTrajectories(CompressorReader{method_}, cell_size_, q,
-                                   k);
+  return eval::NearestTrajectories(CompressorReader{method_}, q, k);
 }
 
 std::vector<TrajId> QueryEngine::WindowGroundTruth(

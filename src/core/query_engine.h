@@ -69,11 +69,12 @@ class QueryEngine {
                                                const Window& window, Tick t);
 
   /// \brief k-nearest-trajectory query at (q.position, q.tick), answered
-  /// entirely from the summary: candidates come from expanding
-  /// local-search rings over the index, are ranked by the distance of
-  /// their refined reconstruction, and the method's deviation bound makes
-  /// the result set correct-within-bound (every returned trajectory's true
-  /// distance is within 2x the deviation bound of the true k-NN set).
+  /// entirely from the summary: a best-first search visits the index's
+  /// occupied cells nearest first and stops once no unvisited cell can
+  /// hold a reconstruction nearer than the k-th found, so the result is
+  /// exactly the k nearest refined reconstructions (ties by id). By the
+  /// method's deviation bound, every returned trajectory's true distance
+  /// is within 2x that bound of the true k-NN set.
   std::vector<Neighbor> NearestTrajectories(const QuerySpec& q,
                                             size_t k) const;
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/simd.h"
@@ -15,7 +16,7 @@
 
 /// \file query_eval.h
 /// The spatio-temporal query algorithms of Section 5.2 (STRQ local search,
-/// window queries, expanding-ring k-NN), written once as templates over a
+/// window queries, best-first k-NN), written once as templates over a
 /// minimal Reader concept so that the serial QueryEngine and every
 /// per-shard leg of the async QueryService evaluate *the same code* —
 /// results are byte-identical by construction, whichever path (and
@@ -103,6 +104,21 @@ inline StageNanos* StagesOfImpl(const Reader&, long) {
 template <typename Reader>
 inline StageNanos* StagesOf(const Reader& reader) {
   return StagesOfImpl(reader, 0);
+}
+
+/// Add \p cells decoded cell lists to the reader's QueryStats, for readers
+/// that carry one (a member `stats` of type QueryStats*); a no-op for the
+/// rest. The scan's own work counter, beside the stage timers.
+template <typename Reader>
+inline auto CountCellsImpl(const Reader& reader, size_t cells, int)
+    -> decltype(void(reader.stats->cells_decoded)) {
+  reader.stats->cells_decoded += cells;
+}
+template <typename Reader>
+inline void CountCellsImpl(const Reader&, size_t, long) {}
+template <typename Reader>
+inline void CountCellsDecoded(const Reader& reader, size_t cells) {
+  CountCellsImpl(reader, cells, 0);
 }
 
 /// \brief RAII stage interval: adds [construction, destruction) to one
@@ -265,7 +281,8 @@ StrqResult Strq(const Reader& reader, const TrajectoryDataset* raw,
   {
     PPQ_ZONE("eval.scan");
     StageTimer timer(stages, ServeStage::kScan);
-    coarse = tpi->QueryCircle(cell.Center(), sweep, q.tick);
+    CountCellsDecoded(reader,
+                      tpi->QueryCircle(cell.Center(), sweep, q.tick, &coarse));
     std::sort(coarse.begin(), coarse.end());
     coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
   }
@@ -332,7 +349,8 @@ StrqResult WindowQuery(const Reader& reader, const TrajectoryDataset* raw,
   {
     PPQ_ZONE("eval.scan");
     StageTimer timer(stages, ServeStage::kScan);
-    coarse = tpi->QueryCircle(center, half_diag + radius + 1e-12, t);
+    CountCellsDecoded(
+        reader, tpi->QueryCircle(center, half_diag + radius + 1e-12, t, &coarse));
     std::sort(coarse.begin(), coarse.end());
     coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
   }
@@ -373,52 +391,108 @@ StrqResult WindowQuery(const Reader& reader, const TrajectoryDataset* raw,
   return result;
 }
 
-/// k-nearest-trajectory query, answered entirely from the summary via an
-/// expanding ring search over the index.
+/// k-nearest-trajectory query, answered entirely from the summary by a
+/// best-first search over the index: the cells occupied at q.tick, across
+/// the covering period's subregions, are visited in ascending distance
+/// from q, and every id in a visited cell is ranked by the distance of its
+/// reconstruction. The search stops once the next cell lies farther than
+/// min(k-th distance so far, \p bound) plus the local-search radius.
+/// Indexed positions lie within that radius of their reconstructions
+/// (Lemma 3), so no unvisited id can rank ahead of the k-th: the answer is
+/// exactly the first k reconstructions under NeighborOrder. \p bound lets
+/// a caller merging several legs prune with the k-th distance it already
+/// holds; the leg then still returns every neighbour that ranks within the
+/// bound. A query position that is not finite has no nearest trajectories.
 template <typename Reader>
-std::vector<Neighbor> NearestTrajectories(const Reader& reader,
-                                          double cell_size, const QuerySpec& q,
-                                          size_t k) {
-  std::vector<Neighbor> result;
+std::vector<Neighbor> NearestTrajectories(
+    const Reader& reader, const QuerySpec& q, size_t k,
+    double bound = std::numeric_limits<double>::infinity()) {
+  std::vector<Neighbor> best;  // max-heap under NeighborOrder: k-th on top
   const index::TemporalPartitionIndex* tpi = reader.index();
-  if (tpi == nullptr || k == 0) return result;
+  if (tpi == nullptr || k == 0 || !std::isfinite(q.position.x) ||
+      !std::isfinite(q.position.y)) {
+    return best;
+  }
+  const index::Period* period = tpi->FindPeriod(q.tick);
+  if (period == nullptr) return best;
+  const std::vector<index::SubRegion>& regions = period->pi.regions();
 
-  // Expanding ring search: double the radius until at least k candidates
-  // are found (or the search space is clearly exhausted), then rank by
-  // reconstruction distance. The extra `bound` margin guarantees no true
-  // k-NN member outside the scanned disc can beat the returned set by
-  // more than the deviation bound.
   StageNanos* const stages = StagesOf(reader);
-  const double bound = reader.LocalSearchRadius();
-  double radius = std::max(cell_size, 4.0 * bound);
-  std::vector<TrajId> coarse;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double radius = reader.LocalSearchRadius();
+  // Entries farther than min(k-th, bound) + radius cannot hold an answer;
+  // the margin absorbs rounding in the cell geometry.
+  const double margin =
+      1e-9 * (1.0 + std::abs(q.position.x) + std::abs(q.position.y));
+  const auto farther = [](const index::CellHit& a, const index::CellHit& b) {
+    return a.distance > b.distance;
+  };
+
+  std::vector<index::CellHit> frontier;  // a heap, nearest on top
   {
     PPQ_ZONE("eval.scan");
     StageTimer timer(stages, ServeStage::kScan);
-    for (int attempt = 0; attempt < 24; ++attempt) {
-      coarse = tpi->QueryCircle(q.position, radius + bound, q.tick);
-      std::sort(coarse.begin(), coarse.end());
-      coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
-      if (coarse.size() >= k) break;
-      radius *= 2.0;
+    for (size_t r = 0; r < regions.size(); ++r) {
+      regions[r].grid.CellsAt(q.position, q.tick, static_cast<uint32_t>(r),
+                              &frontier);
+    }
+    std::make_heap(frontier.begin(), frontier.end(), farther);
+  }
+
+  std::vector<TrajId> ids;
+  std::vector<Point> positions;
+  std::vector<double> dist;
+  size_t cells = 0;
+  while (!frontier.empty()) {
+    const double kth = best.size() == k ? best.front().distance : kInf;
+    const double stop = std::min(kth, bound) + radius;
+    const double limit = stop + margin * (1.0 + stop);
+    if (frontier.front().distance > limit) break;
+    std::pop_heap(frontier.begin(), frontier.end(), farther);
+    const index::CellHit next = frontier.back();
+    frontier.pop_back();
+    const index::GridIndex& grid = regions[next.region].grid;
+    {
+      PPQ_ZONE("eval.scan");
+      StageTimer timer(stages, ServeStage::kScan);
+      ids.clear();
+      grid.AppendIds(next.list, &ids);
+      ++cells;
+    }
+
+    // Ids that fail to decode (expired id, tick outside the record) are
+    // dropped. Single-point spans, so CountingReader attributes cost as
+    // for every other candidate decode.
+    size_t n = 0;
+    {
+      PPQ_ZONE("eval.decode");
+      positions.resize(ids.size());
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (reader.ReconstructSpan(ids[i], q.tick, 1, &positions[n]) == 1) {
+          ids[n++] = ids[i];
+        }
+      }
+    }
+
+    PPQ_ZONE("eval.kernel");
+    StageTimer timer(stages, ServeStage::kKernel);
+    dist.resize(n);
+    simd::Distances(positions.data(), n, q.position, dist.data());
+    for (size_t i = 0; i < n; ++i) {
+      const Neighbor candidate{ids[i], dist[i]};
+      if (best.size() < k) {
+        best.push_back(candidate);
+        std::push_heap(best.begin(), best.end(), NeighborOrder);
+      } else if (NeighborOrder(candidate, best.front())) {
+        std::pop_heap(best.begin(), best.end(), NeighborOrder);
+        best.back() = candidate;
+        std::push_heap(best.begin(), best.end(), NeighborOrder);
+      }
     }
   }
-
-  const DecodedCandidates decoded = DecodeAt(reader, coarse, q.tick);
-  const size_t n = decoded.positions.size();
-
-  PPQ_ZONE("eval.kernel");
-  StageTimer kernel_timer(stages, ServeStage::kKernel);
-  std::vector<double> dist(n);
-  simd::Distances(decoded.positions.data(), n, q.position, dist.data());
-
-  result.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    result.push_back({decoded.ids[i], dist[i]});
-  }
-  std::sort(result.begin(), result.end(), NeighborOrder);
-  if (result.size() > k) result.resize(k);
-  return result;
+  std::sort_heap(best.begin(), best.end(), NeighborOrder);
+  CountCellsDecoded(reader, cells);
+  return best;
 }
 
 /// Trajectory path query: STRQ then reconstruct the next \p length

@@ -243,19 +243,29 @@ QueryResponse QueryService::Evaluate(const QueryRequest& request,
             response.result = merge(MergeStrq, std::move(parts));
           },
           [&](const KnnRequest& r) {
-            std::vector<std::vector<Neighbor>> parts;
+            // Each sealed leg prunes against the k-th distance of the legs
+            // merged so far. The merge is unchanged: a leg still returns
+            // every neighbour that could displace one already held.
+            std::vector<Neighbor> merged;
             for (size_t s = 0; s < num_shards; ++s) {
+              const double bound =
+                  r.k > 0 && merged.size() == r.k
+                      ? merged.back().distance
+                      : std::numeric_limits<double>::infinity();
+              std::vector<std::vector<Neighbor>> parts;
+              parts.push_back(std::move(merged));
               add_leg(s,
-                      eval::NearestTrajectories(reader(s), cell_size,
-                                                r.query, r.k),
+                      eval::NearestTrajectories(reader(s), r.query, r.k,
+                                                bound),
                       [&](const ShardView& v) {
                         return TailNeighbors(v, r.query.tick, r.query.position);
                       },
                       &parts);
+              merged = merge(
+                  [&](auto p) { return MergeKnn(std::move(p), r.k); },
+                  std::move(parts));
             }
-            response.result = merge(
-                [&](auto p) { return MergeKnn(std::move(p), r.k); },
-                std::move(parts));
+            response.result = std::move(merged);
           },
           [&](const TpqRequest& r) {
             // Each matched id's forward path splits at its shard's cut:

@@ -188,6 +188,9 @@ struct QueryStats {
   size_t candidates_visited = 0;
   /// Summary reconstructions performed (Reconstruct calls).
   size_t points_decoded = 0;
+  /// Index cell lists decoded by the candidate scan (one per (cell, tick)
+  /// list read), the scan stage's work count.
+  size_t cells_decoded = 0;
   /// Wall micros spent inside Reconstruct (summary decode).
   uint64_t decode_micros = 0;
   /// Wall micros for the whole evaluation, decode included.

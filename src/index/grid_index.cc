@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 namespace ppq::index {
 namespace {
@@ -34,39 +36,124 @@ int64_t GridIndex::CellKey(const Point& p) const {
   return static_cast<int64_t>(cy) * cells_x_ + cx;
 }
 
-void GridIndex::Insert(Tick t, TrajId id, const Point& p) {
-  CellData& cell = cells_[CellKey(p)];
-  std::vector<TrajId>& ids = cell.raw[t];
-  // Keep lists sorted for delta encoding; ids usually arrive ascending.
-  if (!ids.empty() && id < ids.back()) {
-    ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
-  } else {
-    ids.push_back(id);
-  }
-  ++counts_[t];
+std::pair<size_t, size_t> GridIndex::RunAt(Tick t) const {
+  const auto it = std::lower_bound(ticks_.begin(), ticks_.end(), t);
+  if (it == ticks_.end() || *it != t) return {0, 0};
+  const auto slot = static_cast<size_t>(it - ticks_.begin());
+  return {run_begin_[slot], RunEnd(slot)};
 }
 
-std::vector<TrajId> GridIndex::CellIdsAt(const CellData& cell, Tick t) const {
-  if (finalized_) {
-    const auto it = cell.packed.find(t);
-    if (it == cell.packed.end()) return {};
-    auto decoded = DecompressIds(it->second, table_);
-    // The table was built from exactly these lists, so decoding cannot
-    // fail; return empty defensively on corruption.
-    return decoded.ok() ? *decoded : std::vector<TrajId>{};
+void GridIndex::Insert(Tick t, const TrajId* ids, const Point* positions,
+                       size_t n) {
+  if (finalized_ || n == 0) return;  // the raw lists are gone
+
+  // The tick's run; a new tick gets an empty run where it sorts.
+  const auto it = std::lower_bound(ticks_.begin(), ticks_.end(), t);
+  const auto slot = static_cast<size_t>(it - ticks_.begin());
+  if (it == ticks_.end() || *it != t) {
+    run_begin_.insert(run_begin_.begin() + static_cast<ptrdiff_t>(slot),
+                      slot < run_begin_.size() ? run_begin_[slot]
+                                               : lists_.size());
+    ticks_.insert(it, t);
   }
-  const auto it = cell.raw.find(t);
-  return it == cell.raw.end() ? std::vector<TrajId>{} : it->second;
+  const size_t begin = run_begin_[slot];
+  const size_t end = RunEnd(slot);
+  const uint64_t ids_begin =
+      begin < lists_.size() ? lists_[begin].offset : raw_ids_.size();
+
+  // The run's (key, id) entries, held and new, sorted: each cell's list
+  // comes out ascending, as delta encoding needs.
+  std::vector<std::pair<int64_t, TrajId>> entries;
+  for (size_t li = begin; li < end; ++li) {
+    for (uint32_t j = 0; j < lists_[li].count; ++j) {
+      entries.emplace_back(lists_[li].key, raw_ids_[lists_[li].offset + j]);
+    }
+  }
+  const size_t held = entries.size();
+  for (size_t i = 0; i < n; ++i) {
+    entries.emplace_back(CellKey(positions[i]), ids[i]);
+  }
+  std::sort(entries.begin() + static_cast<ptrdiff_t>(held), entries.end());
+  std::inplace_merge(entries.begin(),
+                     entries.begin() + static_cast<ptrdiff_t>(held),
+                     entries.end());
+
+  // Lay the run out again in place; what follows it moves back by the
+  // lists and ids it gained.
+  std::vector<CellList> run;
+  for (size_t e = 0; e < entries.size(); ++e) {
+    if (run.empty() || run.back().key != entries[e].first) {
+      run.push_back(CellList{entries[e].first, ids_begin + e, 0, 0});
+    }
+    ++run.back().count;
+  }
+  raw_ids_.insert(raw_ids_.begin() + static_cast<ptrdiff_t>(ids_begin + held),
+                  n, TrajId{0});
+  for (size_t e = 0; e < entries.size(); ++e) {
+    raw_ids_[ids_begin + e] = entries[e].second;
+  }
+  const size_t grown = run.size() - (end - begin);
+  lists_.insert(lists_.begin() + static_cast<ptrdiff_t>(end), grown,
+                CellList{});
+  std::copy(run.begin(), run.end(),
+            lists_.begin() + static_cast<ptrdiff_t>(begin));
+  for (size_t li = begin + run.size(); li < lists_.size(); ++li) {
+    lists_[li].offset += n;
+  }
+  for (size_t s = slot + 1; s < run_begin_.size(); ++s) {
+    run_begin_[s] += grown;
+  }
+
+  const auto count = std::lower_bound(
+      counts_.begin(), counts_.end(), t,
+      [](const std::pair<Tick, uint64_t>& c, Tick k) { return c.first < k; });
+  if (count != counts_.end() && count->first == t) {
+    count->second += n;
+  } else {
+    counts_.insert(count, {t, n});
+  }
+}
+
+size_t GridIndex::CountAt(Tick t) const {
+  const auto it = std::lower_bound(
+      counts_.begin(), counts_.end(), t,
+      [](const std::pair<Tick, uint64_t>& c, Tick k) { return c.first < k; });
+  return it == counts_.end() || it->first != t
+             ? 0
+             : static_cast<size_t>(it->second);
+}
+
+void GridIndex::AppendIds(size_t list_index, std::vector<TrajId>* out) const {
+  const CellList& list = lists_[list_index];
+  if (!finalized_) {
+    const auto begin = raw_ids_.begin() + static_cast<ptrdiff_t>(list.offset);
+    out->insert(out->end(), begin, begin + list.count);
+    return;
+  }
+  // The table was built from exactly these lists, so decoding cannot
+  // fail; a corrupt list appends nothing.
+  (void)AppendDecompressedIds(arena_.data() + list.offset, list.bit_count,
+                              list.count, table_, out);
 }
 
 std::vector<TrajId> GridIndex::Query(const Point& p, Tick t) const {
-  const auto it = cells_.find(CellKey(p));
-  if (it == cells_.end()) return {};
-  return CellIdsAt(it->second, t);
+  std::vector<TrajId> ids;
+  const auto [begin, end] = RunAt(t);
+  const int64_t key = CellKey(p);
+  const auto run_end = lists_.begin() + static_cast<ptrdiff_t>(end);
+  const auto cell = std::lower_bound(
+      lists_.begin() + static_cast<ptrdiff_t>(begin), run_end, key,
+      [](const CellList& list, int64_t k) { return list.key < k; });
+  if (cell != run_end && cell->key == key) {
+    AppendIds(static_cast<size_t>(cell - lists_.begin()), &ids);
+  }
+  return ids;
 }
 
-void GridIndex::QueryCircle(const Point& center, double radius, Tick t,
-                            std::vector<TrajId>* out) const {
+size_t GridIndex::QueryCircle(const Point& center, double radius, Tick t,
+                              std::vector<TrajId>* out) const {
+  const auto [begin, end] = RunAt(t);
+  if (begin == end) return 0;
   const int cx_lo = ClampCellIndex(
       (center.x - radius - region_.min_x) / cell_size_, cells_x_ - 1);
   const int cx_hi = ClampCellIndex(
@@ -75,43 +162,88 @@ void GridIndex::QueryCircle(const Point& center, double radius, Tick t,
       (center.y - radius - region_.min_y) / cell_size_, cells_y_ - 1);
   const int cy_hi = ClampCellIndex(
       (center.y + radius - region_.min_y) / cell_size_, cells_y_ - 1);
-  for (int cy = cy_lo; cy <= cy_hi; ++cy) {
-    for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-      // Reject cells whose closest point to the centre is outside the disc.
-      const double cell_min_x = region_.min_x + cx * cell_size_;
-      const double cell_min_y = region_.min_y + cy * cell_size_;
-      const double nearest_x =
-          std::clamp(center.x, cell_min_x, cell_min_x + cell_size_);
-      const double nearest_y =
-          std::clamp(center.y, cell_min_y, cell_min_y + cell_size_);
-      const double dx = center.x - nearest_x;
-      const double dy = center.y - nearest_y;
-      if (dx * dx + dy * dy > radius * radius) continue;
-      const auto it = cells_.find(static_cast<int64_t>(cy) * cells_x_ + cx);
-      if (it == cells_.end()) continue;
-      const std::vector<TrajId> ids = CellIdsAt(it->second, t);
-      out->insert(out->end(), ids.begin(), ids.end());
+  size_t decoded = 0;
+  const auto visit = [&](size_t li, int64_t cx, int64_t cy) {
+    // Reject cells whose closest point to the centre is outside the disc.
+    const double cell_min_x = region_.min_x + cx * cell_size_;
+    const double cell_min_y = region_.min_y + cy * cell_size_;
+    const double nearest_x =
+        std::clamp(center.x, cell_min_x, cell_min_x + cell_size_);
+    const double nearest_y =
+        std::clamp(center.y, cell_min_y, cell_min_y + cell_size_);
+    const double dx = center.x - nearest_x;
+    const double dy = center.y - nearest_y;
+    if (dx * dx + dy * dy > radius * radius) return;
+    AppendIds(li, out);
+    ++decoded;
+  };
+
+  // A box with fewer cells than the run is probed by a binary search per
+  // row; otherwise the run is read once.
+  const uint64_t box = static_cast<uint64_t>(cx_hi - cx_lo + 1) *
+                       static_cast<uint64_t>(cy_hi - cy_lo + 1);
+  if (box < end - begin) {
+    size_t li = begin;
+    for (int cy = cy_lo; cy <= cy_hi; ++cy) {
+      const int64_t row = static_cast<int64_t>(cy) * cells_x_;
+      li = static_cast<size_t>(
+          std::lower_bound(
+              lists_.begin() + static_cast<ptrdiff_t>(li),
+              lists_.begin() + static_cast<ptrdiff_t>(end), row + cx_lo,
+              [](const CellList& list, int64_t k) { return list.key < k; }) -
+          lists_.begin());
+      for (; li < end && lists_[li].key <= row + cx_hi; ++li) {
+        visit(li, lists_[li].key - row, cy);
+      }
     }
+    return decoded;
+  }
+  // Keys outside the grid (only a forged file has them) fall outside
+  // every box.
+  for (size_t li = begin; li < end; ++li) {
+    const int64_t cy = lists_[li].key / cells_x_;
+    const int64_t cx = lists_[li].key % cells_x_;
+    if (cx < cx_lo || cx > cx_hi || cy < cy_lo || cy > cy_hi) continue;
+    visit(li, cx, cy);
+  }
+  return decoded;
+}
+
+void GridIndex::CellsAt(const Point& p, Tick t, uint32_t region,
+                        std::vector<CellHit>* out) const {
+  const auto [begin, end] = RunAt(t);
+  for (size_t li = begin; li < end; ++li) {
+    const int64_t cy = lists_[li].key / cells_x_;
+    const int64_t cx = lists_[li].key - cy * cells_x_;
+    const double min_x = region_.min_x + static_cast<double>(cx) * cell_size_;
+    const double min_y = region_.min_y + static_cast<double>(cy) * cell_size_;
+    const Rect cell{min_x, min_y, min_x + cell_size_, min_y + cell_size_};
+    out->push_back({cell.DistanceTo(p), li, region});
   }
 }
 
 void GridIndex::Finalize() {
   if (finalized_) return;
   std::unordered_map<uint32_t, uint64_t> frequencies;
-  for (const auto& [key, cell] : cells_) {
-    for (const auto& [tick, ids] : cell.raw) {
-      AccumulateDeltaFrequencies(ids, &frequencies);
-    }
+  for (const CellList& list : lists_) {
+    AccumulateDeltaFrequencies(raw_ids_.data() + list.offset, list.count,
+                               &frequencies);
   }
   table_ = HuffmanTable::Build(frequencies);
-  for (auto& [key, cell] : cells_) {
-    for (const auto& [tick, ids] : cell.raw) {
-      auto packed = CompressIds(ids, table_);
-      // Cannot fail: the table covers every delta by construction.
-      if (packed.ok()) cell.packed[tick] = std::move(*packed);
+  arena_.clear();
+  for (CellList& list : lists_) {
+    auto packed = CompressIds(raw_ids_.data() + list.offset, list.count, table_);
+    list.offset = arena_.size();
+    // Cannot fail: the table covers every delta by construction.
+    if (!packed.ok()) {
+      list.count = 0;
+      list.bit_count = 0;
+      continue;
     }
-    cell.raw.clear();
+    list.bit_count = packed->bit_count;
+    arena_.insert(arena_.end(), packed->bytes.begin(), packed->bytes.end());
   }
+  std::vector<TrajId>().swap(raw_ids_);
   finalized_ = true;
 }
 
@@ -130,26 +262,46 @@ void GridIndex::SaveTo(ByteWriter* out) const {
     out->WriteU64(count);
   }
 
-  // cells_ is unordered; emit in key order for byte determinism.
-  std::vector<int64_t> keys;
-  keys.reserve(cells_.size());
-  for (const auto& [key, cell] : cells_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  out->WriteU64(keys.size());
-  for (const int64_t key : keys) {
-    const CellData& cell = cells_.at(key);
+  // The format is cell-major: lists by (key, tick). A stable sort by key
+  // of the tick-major lists gives exactly that order.
+  std::vector<Tick> tick_of(lists_.size());
+  for (size_t s = 0; s < ticks_.size(); ++s) {
+    std::fill(tick_of.begin() + static_cast<ptrdiff_t>(run_begin_[s]),
+              tick_of.begin() + static_cast<ptrdiff_t>(RunEnd(s)), ticks_[s]);
+  }
+  std::vector<size_t> order(lists_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return lists_[a].key < lists_[b].key;
+  });
+  size_t num_cells = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    num_cells += i == 0 || lists_[order[i]].key != lists_[order[i - 1]].key;
+  }
+  out->WriteU64(num_cells);
+  for (size_t i = 0; i < order.size();) {
+    const int64_t key = lists_[order[i]].key;
+    size_t j = i;
+    while (j < order.size() && lists_[order[j]].key == key) ++j;
     out->WriteU64(static_cast<uint64_t>(key));
-    out->WriteU64(cell.raw.size());
-    for (const auto& [tick, ids] : cell.raw) {
-      out->WriteI32(tick);
-      out->WriteU64(ids.size());
-      for (const TrajId id : ids) out->WriteI32(id);
+    out->WriteU64(finalized_ ? 0 : j - i);
+    for (size_t r = i; !finalized_ && r < j; ++r) {
+      const CellList& list = lists_[order[r]];
+      out->WriteI32(tick_of[order[r]]);
+      out->WriteU64(list.count);
+      for (uint32_t n = 0; n < list.count; ++n) {
+        out->WriteI32(raw_ids_[list.offset + n]);
+      }
     }
-    out->WriteU64(cell.packed.size());
-    for (const auto& [tick, packed] : cell.packed) {
-      out->WriteI32(tick);
-      packed.SaveTo(out);
+    out->WriteU64(finalized_ ? j - i : 0);
+    for (size_t r = i; finalized_ && r < j; ++r) {
+      const CellList& list = lists_[order[r]];
+      out->WriteI32(tick_of[order[r]]);
+      out->WriteU32(list.count);
+      out->WriteU32(list.bit_count);
+      out->WriteBytes(arena_.data() + list.offset, PackedBytes(list));
     }
+    i = j;
   }
 }
 
@@ -196,61 +348,149 @@ Result<GridIndex> GridIndex::LoadFrom(ByteReader* in) {
 
   auto tick_count = in->ReadCount(12);  // i32 tick + u64 count
   if (!tick_count.ok()) return tick_count.status();
+  grid.counts_.reserve(*tick_count);
   for (uint64_t i = 0; i < *tick_count; ++i) {
     auto tick = in->ReadI32();
     if (!tick.ok()) return tick.status();
     auto count = in->ReadU64();
     if (!count.ok()) return count.status();
-    if (!grid.counts_.emplace(*tick, *count).second) {
+    grid.counts_.emplace_back(*tick, *count);
+  }
+  std::sort(grid.counts_.begin(), grid.counts_.end());
+  for (size_t i = 1; i < grid.counts_.size(); ++i) {
+    if (grid.counts_[i].first == grid.counts_[i - 1].first) {
       return Status::Invalid("GridIndex: duplicate count tick");
     }
   }
 
+  // Read the cell-major lists. Writers emit strictly ascending keys, and
+  // ticks within a cell, and only the list kind the finalized flag names;
+  // anything else is a forgery (a duplicate would silently merge lists).
+  struct Loaded {
+    Tick tick;
+    CellList list;
+  };
+  std::vector<Loaded> loaded;
   auto cell_count = in->ReadCount(24);  // key + two map sizes
   if (!cell_count.ok()) return cell_count.status();
-  grid.cells_.reserve(*cell_count);
   for (uint64_t i = 0; i < *cell_count; ++i) {
     auto key = in->ReadU64();
     if (!key.ok()) return key.status();
-    // Writers emit sorted unique keys/ticks; a duplicate is a forgery and
-    // would silently merge or overwrite lists — reject like every other
-    // decoder does.
-    const auto inserted =
-        grid.cells_.emplace(static_cast<int64_t>(*key), CellData{});
-    if (!inserted.second) {
-      return Status::Invalid("GridIndex: duplicate cell key");
+    const auto cell_key = static_cast<int64_t>(*key);
+    if (!loaded.empty() && cell_key <= loaded.back().list.key) {
+      return Status::Invalid("GridIndex: cell keys not ascending");
     }
-    CellData& cell = inserted.first->second;
+    const size_t first = loaded.size();
+    const auto add = [&](Tick tick, CellList list) -> Status {
+      if (loaded.size() > first && tick <= loaded.back().tick) {
+        return Status::Invalid("GridIndex: cell ticks not ascending");
+      }
+      loaded.push_back({tick, list});
+      return Status::OK();
+    };
     auto raw_ticks = in->ReadCount(12);  // i32 tick + u64 id count
     if (!raw_ticks.ok()) return raw_ticks.status();
+    if (*raw_ticks > 0 && grid.finalized_) {
+      return Status::Invalid("GridIndex: raw list in a finalized grid");
+    }
     for (uint64_t r = 0; r < *raw_ticks; ++r) {
       auto tick = in->ReadI32();
       if (!tick.ok()) return tick.status();
       auto id_count = in->ReadCount(4);  // i32 per id
       if (!id_count.ok()) return id_count.status();
-      const auto tick_inserted = cell.raw.emplace(*tick, std::vector<TrajId>());
-      if (!tick_inserted.second) {
-        return Status::Invalid("GridIndex: duplicate raw tick");
+      if (*id_count > std::numeric_limits<uint32_t>::max()) {
+        return Status::Invalid("GridIndex: raw list too long");
       }
-      std::vector<TrajId>& ids = tick_inserted.first->second;
-      ids.reserve(*id_count);
+      const uint64_t offset = grid.raw_ids_.size();
       for (uint64_t j = 0; j < *id_count; ++j) {
         auto id = in->ReadI32();
         if (!id.ok()) return id.status();
-        ids.push_back(*id);
+        grid.raw_ids_.push_back(*id);
       }
+      PPQ_RETURN_NOT_OK(add(*tick, CellList{cell_key, offset,
+                                            static_cast<uint32_t>(*id_count),
+                                            0}));
     }
     auto packed_ticks = in->ReadCount(12);  // i32 tick + 8-byte list header
     if (!packed_ticks.ok()) return packed_ticks.status();
+    if (*packed_ticks > 0 && !grid.finalized_) {
+      return Status::Invalid("GridIndex: packed list in a raw grid");
+    }
     for (uint64_t p = 0; p < *packed_ticks; ++p) {
       auto tick = in->ReadI32();
       if (!tick.ok()) return tick.status();
-      auto packed = CompressedIdList::LoadFrom(in);
-      if (!packed.ok()) return packed.status();
-      if (!cell.packed.emplace(*tick, std::move(*packed)).second) {
-        return Status::Invalid("GridIndex: duplicate packed tick");
+      auto count = in->ReadU32();
+      if (!count.ok()) return count.status();
+      auto bit_count = in->ReadU32();
+      if (!bit_count.ok()) return bit_count.status();
+      // Every encoded id consumes at least one bit, so a count beyond
+      // bit_count is forged (and would over-reserve at decode).
+      if (*count > *bit_count) {
+        return Status::Invalid("GridIndex: list count exceeds bit count");
       }
+      const CellList list{cell_key, grid.arena_.size(), *count, *bit_count};
+      const size_t bytes = grid.PackedBytes(list);
+      if (bytes > in->Remaining()) {
+        return Status::Invalid("GridIndex: packed list exceeds buffer");
+      }
+      grid.arena_.resize(grid.arena_.size() + bytes);
+      PPQ_RETURN_NOT_OK(in->ReadBytes(grid.arena_.data() + list.offset, bytes));
+      PPQ_RETURN_NOT_OK(add(*tick, list));
     }
+    if (loaded.size() == first) {
+      return Status::Invalid("GridIndex: cell without lists");
+    }
+  }
+  if (loaded.empty()) return grid;
+
+  // Transpose to tick-major. Within a tick the lists keep their file
+  // order, which is ascending by key. A dense tick span (every grid a
+  // writer produces) takes one counting pass; a sparse one, as only a
+  // forgery has, sorts instead of allocating per tick of the span.
+  const auto [lo, hi] = std::minmax_element(
+      loaded.begin(), loaded.end(),
+      [](const Loaded& a, const Loaded& b) { return a.tick < b.tick; });
+  const int64_t min_tick = lo->tick;
+  const auto span = static_cast<uint64_t>(int64_t{hi->tick} - min_tick) + 1;
+  grid.lists_.resize(loaded.size());
+  if (span <= 2 * uint64_t{loaded.size()} + 16) {
+    std::vector<size_t> next(static_cast<size_t>(span) + 1, 0);
+    for (const Loaded& e : loaded) ++next[static_cast<size_t>(e.tick - min_tick) + 1];
+    for (size_t s = 0; s + 1 < next.size(); ++s) {
+      if (next[s + 1] == 0) {
+        next[s + 1] = next[s];
+        continue;
+      }
+      grid.ticks_.push_back(static_cast<Tick>(min_tick + static_cast<int64_t>(s)));
+      grid.run_begin_.push_back(next[s]);
+      next[s + 1] += next[s];
+    }
+    for (const Loaded& e : loaded) {
+      grid.lists_[next[static_cast<size_t>(e.tick - min_tick)]++] = e.list;
+    }
+  } else {
+    std::stable_sort(loaded.begin(), loaded.end(),
+                     [](const Loaded& a, const Loaded& b) {
+                       return a.tick < b.tick;
+                     });
+    for (size_t i = 0; i < loaded.size(); ++i) {
+      if (i == 0 || loaded[i].tick != loaded[i - 1].tick) {
+        grid.ticks_.push_back(loaded[i].tick);
+        grid.run_begin_.push_back(i);
+      }
+      grid.lists_[i] = loaded[i].list;
+    }
+  }
+  // Raw ids stay in file order; re-lay them out in lists_ order.
+  if (!grid.finalized_) {
+    std::vector<TrajId> ids;
+    ids.reserve(grid.raw_ids_.size());
+    for (CellList& list : grid.lists_) {
+      const auto begin = grid.raw_ids_.begin() + static_cast<ptrdiff_t>(list.offset);
+      list.offset = ids.size();
+      ids.insert(ids.end(), begin, begin + list.count);
+    }
+    grid.raw_ids_ = std::move(ids);
   }
   return grid;
 }
@@ -258,14 +498,17 @@ Result<GridIndex> GridIndex::LoadFrom(ByteReader* in) {
 size_t GridIndex::SizeBytes() const {
   size_t total = sizeof(Rect) + sizeof(double) + 2 * sizeof(int);
   total += table_.SizeBytes();
-  for (const auto& [key, cell] : cells_) {
-    total += sizeof(int64_t);  // cell key
-    for (const auto& [tick, ids] : cell.raw) {
-      total += sizeof(Tick) + ids.size() * sizeof(TrajId);
-    }
-    for (const auto& [tick, packed] : cell.packed) {
-      total += sizeof(Tick) + packed.SizeBytes();
-    }
+  std::vector<int64_t> keys;
+  keys.reserve(lists_.size());
+  for (const CellList& list : lists_) keys.push_back(list.key);
+  std::sort(keys.begin(), keys.end());
+  total += sizeof(int64_t) *  // one key per occupied cell
+           static_cast<size_t>(std::unique(keys.begin(), keys.end()) -
+                               keys.begin());
+  for (const CellList& list : lists_) {
+    // Packed lists are charged as CompressedIdList: bytes + two u32s.
+    total += sizeof(Tick) + (finalized_ ? PackedBytes(list) + 2 * sizeof(uint32_t)
+                                        : list.count * sizeof(TrajId));
   }
   return total;
 }

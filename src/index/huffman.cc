@@ -88,6 +88,13 @@ void HuffmanTable::AssignCanonicalCodes() {
     code <<= (length - previous_length);
     previous_length = length;
     codes_[symbol] = code;
+    // Codes live in a uint32: longer ones (LoadFrom rejects them) are
+    // left out of the decode ranges.
+    if (length <= 32 && entries_of_length_[length]++ == 0) {
+      first_code_[length] = code;
+      first_entry_[length] = static_cast<uint32_t>(decode_entries_.size());
+      max_length_ = length;
+    }
     decode_entries_.push_back({symbol, code, length});
     ++code;
   }
@@ -174,33 +181,28 @@ Status HuffmanTable::Encode(uint32_t symbol, BitWriter* writer) const {
 }
 
 Result<uint32_t> HuffmanTable::Decode(BitReader* reader) const {
-  // decode_entries_ is sorted by (length, code); scan lengths in order,
-  // consuming one bit at a time. Alphabets here are small (ID deltas), so
-  // the linear scan per length is fine.
+  // Read one bit per code length; a code of length L is valid when it
+  // falls in that length's consecutive canonical range (unsigned
+  // wrap-around makes codes below the range fail the same test).
   uint32_t code = 0;
-  int length = 0;
-  size_t cursor = 0;
-  while (cursor < decode_entries_.size()) {
+  for (int length = 1; length <= max_length_; ++length) {
     auto bit = reader->ReadBit();
     if (!bit.ok()) return bit.status();
     code = (code << 1) | (*bit ? 1u : 0u);
-    ++length;
-    while (cursor < decode_entries_.size() &&
-           decode_entries_[cursor].length == length) {
-      if (decode_entries_[cursor].code == code) {
-        return decode_entries_[cursor].symbol;
-      }
-      ++cursor;
+    const uint32_t offset = code - first_code_[length];
+    if (offset < entries_of_length_[length]) {
+      return decode_entries_[first_entry_[length] + offset].symbol;
     }
   }
   return Status::Invalid("HuffmanTable: invalid code word");
 }
 
-Result<CompressedIdList> CompressIds(const std::vector<int32_t>& sorted_ids,
+Result<CompressedIdList> CompressIds(const int32_t* sorted_ids, size_t n,
                                      const HuffmanTable& table) {
   BitWriter writer;
   int32_t previous = 0;
-  for (int32_t id : sorted_ids) {
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t id = sorted_ids[i];
     if (id < previous) {
       return Status::Invalid("CompressIds: ids must be sorted ascending");
     }
@@ -210,38 +212,53 @@ Result<CompressedIdList> CompressIds(const std::vector<int32_t>& sorted_ids,
   CompressedIdList list;
   list.bytes = writer.buffer();
   list.bit_count = static_cast<uint32_t>(writer.BitCount());
-  list.count = static_cast<uint32_t>(sorted_ids.size());
+  list.count = static_cast<uint32_t>(n);
   return list;
 }
 
-Result<std::vector<int32_t>> DecompressIds(const CompressedIdList& list,
-                                           const HuffmanTable& table) {
-  BitReader reader(list.bytes.data(), list.bit_count);
-  std::vector<int32_t> ids;
-  ids.reserve(list.count);
+Status AppendDecompressedIds(const uint8_t* bytes, uint32_t bit_count,
+                             uint32_t count, const HuffmanTable& table,
+                             std::vector<int32_t>* out) {
+  BitReader reader(bytes, bit_count);
+  const size_t start = out->size();
+  // Every id takes at least one bit: a count beyond bit_count is forged,
+  // and must not size the reservation.
+  out->reserve(start + std::min(count, bit_count));
   // Accumulate in 64-bit and bound-check: CompressIds only ever emits
   // deltas in [0, INT32_MAX], so an id walking past int32 range means a
   // forged table/list — adding it in int32 would be signed-overflow UB.
   int64_t previous = 0;
-  for (uint32_t i = 0; i < list.count; ++i) {
+  for (uint32_t i = 0; i < count; ++i) {
     auto delta = table.Decode(&reader);
-    if (!delta.ok()) return delta.status();
+    if (!delta.ok()) {
+      out->resize(start);
+      return delta.status();
+    }
     previous += static_cast<int64_t>(*delta);
     if (previous > std::numeric_limits<int32_t>::max()) {
+      out->resize(start);
       return Status::Invalid("DecompressIds: id overflows int32");
     }
-    ids.push_back(static_cast<int32_t>(previous));
+    out->push_back(static_cast<int32_t>(previous));
   }
+  return Status::OK();
+}
+
+Result<std::vector<int32_t>> DecompressIds(const CompressedIdList& list,
+                                           const HuffmanTable& table) {
+  std::vector<int32_t> ids;
+  PPQ_RETURN_NOT_OK(AppendDecompressedIds(list.bytes.data(), list.bit_count,
+                                          list.count, table, &ids));
   return ids;
 }
 
 void AccumulateDeltaFrequencies(
-    const std::vector<int32_t>& sorted_ids,
+    const int32_t* sorted_ids, size_t n,
     std::unordered_map<uint32_t, uint64_t>* frequencies) {
   int32_t previous = 0;
-  for (int32_t id : sorted_ids) {
-    ++(*frequencies)[static_cast<uint32_t>(id - previous)];
-    previous = id;
+  for (size_t i = 0; i < n; ++i) {
+    ++(*frequencies)[static_cast<uint32_t>(sorted_ids[i] - previous)];
+    previous = sorted_ids[i];
   }
 }
 

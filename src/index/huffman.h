@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -71,6 +72,14 @@ class HuffmanTable {
   std::unordered_map<uint32_t, uint32_t> codes_;
   /// Sorted by (length, code) for decoding.
   std::vector<DecodeEntry> decode_entries_;
+  /// Per code length L (index L, 0 unused): the first canonical code of
+  /// that length, where its entries start in decode_entries_, and how
+  /// many there are. Canonical codes of one length are consecutive, so a
+  /// code read in L bits decodes with one subtraction.
+  std::array<uint32_t, 33> first_code_{};
+  std::array<uint32_t, 33> first_entry_{};
+  std::array<uint32_t, 33> entries_of_length_{};
+  int max_length_ = 0;
 };
 
 /// \brief Delta + Huffman compressed representation of a sorted ID list.
@@ -87,8 +96,19 @@ struct CompressedIdList {
 
 /// Delta-encode \p sorted_ids (ascending; the first entry is stored as a
 /// delta from zero) and Huffman-code the deltas with \p table.
-Result<CompressedIdList> CompressIds(const std::vector<int32_t>& sorted_ids,
+Result<CompressedIdList> CompressIds(const int32_t* sorted_ids, size_t n,
                                      const HuffmanTable& table);
+inline Result<CompressedIdList> CompressIds(
+    const std::vector<int32_t>& sorted_ids, const HuffmanTable& table) {
+  return CompressIds(sorted_ids.data(), sorted_ids.size(), table);
+}
+
+/// Inverse of CompressIds over a packed list held elsewhere (\p bytes
+/// must hold (bit_count + 7) / 8 bytes): appends the \p count ids to
+/// \p out. On a decode error \p out is left as it was.
+Status AppendDecompressedIds(const uint8_t* bytes, uint32_t bit_count,
+                             uint32_t count, const HuffmanTable& table,
+                             std::vector<int32_t>* out);
 
 /// Inverse of CompressIds.
 Result<std::vector<int32_t>> DecompressIds(const CompressedIdList& list,
@@ -97,7 +117,13 @@ Result<std::vector<int32_t>> DecompressIds(const CompressedIdList& list,
 /// Accumulate the delta frequencies of \p sorted_ids into \p frequencies,
 /// for building a shared table over many lists.
 void AccumulateDeltaFrequencies(
-    const std::vector<int32_t>& sorted_ids,
+    const int32_t* sorted_ids, size_t n,
     std::unordered_map<uint32_t, uint64_t>* frequencies);
+inline void AccumulateDeltaFrequencies(
+    const std::vector<int32_t>& sorted_ids,
+    std::unordered_map<uint32_t, uint64_t>* frequencies) {
+  AccumulateDeltaFrequencies(sorted_ids.data(), sorted_ids.size(),
+                             frequencies);
+}
 
 }  // namespace ppq::index

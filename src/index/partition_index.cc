@@ -49,32 +49,46 @@ PartitionIndex PartitionIndex::Build(const TimeSlice& slice,
         SubRegion{GridIndex(rect, options.cell_size), 0, slice.tick});
   }
 
-  // Index the slice's points; each point lies in exactly one rectangle
-  // (the decomposition is disjoint), boundary ties resolved first-match.
-  for (size_t i = 0; i < slice.positions.size(); ++i) {
-    for (SubRegion& region : index.regions_) {
-      if (region.grid.Contains(slice.positions[i])) {
-        region.grid.Insert(slice.tick, slice.ids[i], slice.positions[i]);
-        ++region.baseline_count;
-        break;
-      }
-    }
+  index.InsertCovered(slice);
+  for (SubRegion& region : index.regions_) {
+    region.baseline_count = region.grid.CountAt(slice.tick);
   }
   return index;
 }
 
 std::vector<size_t> PartitionIndex::InsertCovered(const TimeSlice& slice) {
+  // Each point lies in exactly one rectangle (the decomposition is
+  // disjoint), boundary ties resolved first-match. The points are grouped
+  // by rectangle (a counting sort), so each grid takes the tick in one
+  // Insert.
+  const size_t none = regions_.size();
+  std::vector<size_t> region_of(slice.positions.size(), none);
+  std::vector<size_t> start(regions_.size() + 1, 0);
   std::vector<size_t> uncovered;
   for (size_t i = 0; i < slice.positions.size(); ++i) {
-    bool inserted = false;
-    for (SubRegion& region : regions_) {
-      if (region.grid.Contains(slice.positions[i])) {
-        region.grid.Insert(slice.tick, slice.ids[i], slice.positions[i]);
-        inserted = true;
+    for (size_t r = 0; r < regions_.size(); ++r) {
+      if (regions_[r].grid.Contains(slice.positions[i])) {
+        region_of[i] = r;
+        ++start[r + 1];
         break;
       }
     }
-    if (!inserted) uncovered.push_back(i);
+    if (region_of[i] == none) uncovered.push_back(i);
+  }
+  for (size_t r = 0; r < regions_.size(); ++r) start[r + 1] += start[r];
+  std::vector<TrajId> ids(start.back());
+  std::vector<Point> positions(start.back());
+  std::vector<size_t> next(start.begin(), start.end() - 1);
+  for (size_t i = 0; i < region_of.size(); ++i) {
+    if (region_of[i] == none) continue;
+    const size_t slot = next[region_of[i]]++;
+    ids[slot] = slice.ids[i];
+    positions[slot] = slice.positions[i];
+  }
+  for (size_t r = 0; r < regions_.size(); ++r) {
+    regions_[r].grid.Insert(slice.tick, ids.data() + start[r],
+                            positions.data() + start[r],
+                            start[r + 1] - start[r]);
   }
   return uncovered;
 }
@@ -119,11 +133,15 @@ std::vector<TrajId> PartitionIndex::Query(const Point& p, Tick t) const {
   return {};
 }
 
-void PartitionIndex::QueryCircle(const Point& center, double radius, Tick t,
-                                 std::vector<TrajId>* out) const {
+size_t PartitionIndex::QueryCircle(const Point& center, double radius, Tick t,
+                                   std::vector<TrajId>* out) const {
+  size_t decoded = 0;
   for (const SubRegion& region : regions_) {
-    region.grid.QueryCircle(center, radius, t, out);
+    // Every id of a subregion lies inside its rectangle.
+    if (region.grid.region().DistanceTo(center) > radius) continue;
+    decoded += region.grid.QueryCircle(center, radius, t, out);
   }
+  return decoded;
 }
 
 void PartitionIndex::Finalize() {

@@ -67,9 +67,11 @@ class PartitionIndex {
   /// STRQ primitive: ids in the grid cell containing \p p at tick \p t.
   std::vector<TrajId> Query(const Point& p, Tick t) const;
 
-  /// Local-search primitive: ids in all cells intersecting the disc.
-  void QueryCircle(const Point& center, double radius, Tick t,
-                   std::vector<TrajId>* out) const;
+  /// Local-search primitive: append the ids in all cells intersecting the
+  /// disc, skipping subregions that lie wholly outside it. Returns the
+  /// number of cell lists decoded.
+  size_t QueryCircle(const Point& center, double radius, Tick t,
+                     std::vector<TrajId>* out) const;
 
   /// Compress all grids.
   void Finalize();

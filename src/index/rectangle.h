@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/types.h"
@@ -27,6 +29,13 @@ struct Rect {
 
   bool Contains(const Point& p) const {
     return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
+  }
+
+  /// Euclidean distance from \p p to the rectangle (0 inside).
+  double DistanceTo(const Point& p) const {
+    const double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
+    const double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
+    return std::sqrt(dx * dx + dy * dy);
   }
 
   /// Interior overlap (touching edges do not count).

@@ -79,14 +79,11 @@ std::vector<TrajId> TemporalPartitionIndex::Query(const Point& p,
   return period->pi.Query(p, t);
 }
 
-std::vector<TrajId> TemporalPartitionIndex::QueryCircle(const Point& center,
-                                                        double radius,
-                                                        Tick t) const {
+size_t TemporalPartitionIndex::QueryCircle(const Point& center, double radius,
+                                           Tick t,
+                                           std::vector<TrajId>* out) const {
   const Period* period = FindPeriod(t);
-  if (period == nullptr) return {};
-  std::vector<TrajId> ids;
-  period->pi.QueryCircle(center, radius, t, &ids);
-  return ids;
+  return period == nullptr ? 0 : period->pi.QueryCircle(center, radius, t, out);
 }
 
 void TemporalPartitionIndex::Finalize() {

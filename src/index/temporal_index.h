@@ -58,10 +58,11 @@ class TemporalPartitionIndex {
   /// period covers \p t.
   std::vector<TrajId> Query(const Point& p, Tick t) const;
 
-  /// Ids in every cell intersecting the disc around \p center at tick
-  /// \p t (local search, Section 5.2).
-  std::vector<TrajId> QueryCircle(const Point& center, double radius,
-                                  Tick t) const;
+  /// Append the ids in every cell intersecting the disc around \p center
+  /// at tick \p t (local search, Section 5.2) to \p out. Returns the
+  /// number of cell lists decoded.
+  size_t QueryCircle(const Point& center, double radius, Tick t,
+                     std::vector<TrajId>* out) const;
 
   /// Compress all periods' grids.
   void Finalize();

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <tuple>
 
 #include "common/random.h"
 #include "index/grid_index.h"
@@ -120,6 +123,174 @@ TEST(GridIndexTest, QueryCircleMatchesBruteForce) {
                 slack);
     }
   }
+}
+
+/// Save \p g, reload it, and require the reload to save the same bytes
+/// and charge the same SizeBytes; returns the reloaded grid.
+GridIndex RoundTrip(const GridIndex& g) {
+  ByteWriter first;
+  g.SaveTo(&first);
+  ByteReader in(first.buffer());
+  auto loaded = GridIndex::LoadFrom(&in);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (!loaded.ok()) return g;
+  EXPECT_TRUE(in.AtEnd());
+  ByteWriter second;
+  loaded->SaveTo(&second);
+  EXPECT_EQ(first.buffer(), second.buffer());
+  EXPECT_EQ(loaded->SizeBytes(), g.SizeBytes());
+  EXPECT_EQ(loaded->finalized(), g.finalized());
+  return std::move(*loaded);
+}
+
+TEST(GridIndexTest, OutOfOrderTicksQueryAndRoundTripByteForByte) {
+  GridIndex g = MakeUnitGrid(0.1);
+  Rng rng(12);
+  // (tick, cell key) -> ids, the brute-force view of what was inserted.
+  std::map<std::pair<Tick, int64_t>, std::vector<TrajId>> truth;
+  std::vector<std::pair<Tick, Point>> probes;
+  const Tick ticks[] = {9, 2, 7, 2, 11, -4, 9, 5};
+  for (int i = 0; i < 400; ++i) {
+    const Tick t = ticks[i % 8];
+    const Point p{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
+    const auto id = static_cast<TrajId>(1000 - 2 * i);  // descending
+    g.Insert(t, id, p);
+    const int64_t key = static_cast<int64_t>(std::floor(p.y / 0.1)) * 10 +
+                        static_cast<int64_t>(std::floor(p.x / 0.1));
+    truth[{t, key}].push_back(id);
+    probes.push_back({t, p});
+  }
+  for (auto& [cell, ids] : truth) std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(g.CountAt(2), 100u);
+  EXPECT_EQ(g.CountAt(-4), 50u);
+
+  const auto check = [&](const GridIndex& grid) {
+    for (const auto& [t, p] : probes) {
+      const int64_t key = static_cast<int64_t>(std::floor(p.y / 0.1)) * 10 +
+                          static_cast<int64_t>(std::floor(p.x / 0.1));
+      EXPECT_EQ(grid.Query(p, t), (truth[{t, key}]));
+    }
+    // The cells listed at a tick are exactly the occupied ones, and
+    // their lists hold every id indexed at that tick.
+    for (const Tick t : {-4, 2, 5, 7, 9, 11, 3}) {
+      std::vector<CellHit> cells;
+      const Point probe{0.23, 0.61};
+      grid.CellsAt(probe, t, 7, &cells);
+      std::vector<TrajId> ids;
+      for (const CellHit& hit : cells) {
+        EXPECT_EQ(hit.region, 7u);
+        std::vector<TrajId> list;
+        grid.AppendIds(hit.list, &list);
+        ASSERT_FALSE(list.empty());
+        // The cell's distance is that of the cell holding its ids.
+        for (const auto& [cell, cell_ids] : truth) {
+          if (cell.first != t || cell_ids != list) continue;
+          const double min_x = 0.1 * static_cast<double>(cell.second % 10);
+          const double min_y = 0.1 * static_cast<double>(cell.second / 10);
+          EXPECT_NEAR(hit.distance,
+                      (Rect{min_x, min_y, min_x + 0.1, min_y + 0.1}
+                           .DistanceTo(probe)),
+                      1e-12);
+        }
+        ids.insert(ids.end(), list.begin(), list.end());
+      }
+      std::sort(ids.begin(), ids.end());
+      std::vector<TrajId> want;
+      size_t occupied = 0;
+      for (const auto& [cell, list] : truth) {
+        if (cell.first != t) continue;
+        ++occupied;
+        want.insert(want.end(), list.begin(), list.end());
+      }
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(cells.size(), occupied) << "tick " << t;
+      EXPECT_EQ(ids, want) << "tick " << t;
+      EXPECT_EQ(grid.CountAt(t), want.size()) << "tick " << t;
+    }
+  };
+  check(g);
+  check(RoundTrip(g));
+  g.Finalize();
+  check(g);
+  check(RoundTrip(g));
+}
+
+TEST(GridIndexTest, BatchInsertsEqualPointInserts) {
+  // The same points, once a tick's batch at a time (ticks out of order,
+  // some ticks in two batches) and once point by point, index the same
+  // lists.
+  GridIndex batched = MakeUnitGrid(0.1);
+  GridIndex pointwise = MakeUnitGrid(0.1);
+  Rng rng(4);
+  for (const Tick t : {3, 1, 3, 8, -2, 1}) {
+    std::vector<TrajId> ids;
+    std::vector<Point> positions;
+    for (int i = 0; i < 60; ++i) {
+      ids.push_back(static_cast<TrajId>(rng.UniformInt(0, 500)));
+      positions.push_back({rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 0.3)});
+      pointwise.Insert(t, ids.back(), positions.back());
+    }
+    batched.Insert(t, ids.data(), positions.data(), ids.size());
+  }
+  batched.Insert(5, nullptr, nullptr, 0);  // an empty batch adds nothing
+  ByteWriter a;
+  batched.SaveTo(&a);
+  ByteWriter b;
+  pointwise.SaveTo(&b);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  EXPECT_EQ(batched.CountAt(3), 120u);
+  EXPECT_EQ(batched.CountAt(5), 0u);
+}
+
+TEST(GridIndexTest, TickSpanNearTwoToThe31RoundTrips) {
+  // A grid whose ticks span ~2^31 must load through the sorting path
+  // (no per-tick allocation over the span) and serve the same lists.
+  constexpr Tick kMin = std::numeric_limits<Tick>::min();
+  constexpr Tick kMax = std::numeric_limits<Tick>::max();
+  for (const bool finalize : {false, true}) {
+    GridIndex g = MakeUnitGrid();
+    g.Insert(kMax, 4, {0.15, 0.15});
+    g.Insert(kMin, 2, {0.15, 0.15});
+    g.Insert(0, 3, {0.85, 0.15});
+    g.Insert(kMin, 1, {0.15, 0.15});
+    if (finalize) g.Finalize();
+    const GridIndex loaded = RoundTrip(g);
+    EXPECT_EQ(loaded.Query({0.15, 0.15}, kMin), (std::vector<TrajId>{1, 2}));
+    EXPECT_EQ(loaded.Query({0.15, 0.15}, kMax), (std::vector<TrajId>{4}));
+    EXPECT_EQ(loaded.Query({0.85, 0.15}, 0), (std::vector<TrajId>{3}));
+    EXPECT_TRUE(loaded.Query({0.15, 0.15}, 0).empty());
+  }
+}
+
+TEST(GridIndexTest, ForgedListOrderIsRejectedAtLoad) {
+  // Writers emit ascending cell keys, ascending ticks within a cell and
+  // only the list kind the finalized flag names.
+  const auto grid_bytes = [](uint8_t finalized, uint64_t key_a,
+                             uint64_t key_b, Tick tick_a, Tick tick_b) {
+    ByteWriter out;
+    for (double v : {0.0, 0.0, 1.0, 1.0, 0.1}) out.WriteF64(v);
+    out.WriteU8(finalized);
+    out.WriteU32(0);  // empty huffman table
+    out.WriteU64(0);  // no per-tick counts
+    out.WriteU64(2);  // two cells, one raw list of one id each
+    for (const auto& [key, tick] : {std::pair{key_a, tick_a}, std::pair{key_b, tick_b}}) {
+      out.WriteU64(key);
+      out.WriteU64(1);
+      out.WriteI32(tick);
+      out.WriteU64(1);
+      out.WriteI32(5);
+      out.WriteU64(0);
+    }
+    return out.buffer();
+  };
+  const auto load = [](const std::vector<uint8_t>& bytes) {
+    ByteReader in(bytes);
+    return GridIndex::LoadFrom(&in);
+  };
+  EXPECT_TRUE(load(grid_bytes(0, 3, 4, 1, 1)).ok());
+  EXPECT_FALSE(load(grid_bytes(0, 4, 3, 1, 1)).ok());  // keys descending
+  EXPECT_FALSE(load(grid_bytes(0, 3, 3, 1, 2)).ok());  // duplicate key
+  EXPECT_FALSE(load(grid_bytes(1, 3, 4, 1, 1)).ok());  // raw list, finalized
 }
 
 TEST(GridIndexTest, SizeBytesGrowsWithContent) {

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/simd.h"
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
 #include "repo/live_query_service.h"
@@ -222,6 +223,82 @@ TEST(LiveRepositoryTest, TailServesEveryPointBeforeAnySeal) {
   ASSERT_TRUE(to_end.ok());
   ASSERT_EQ(to_end.tpq().ids, std::vector<TrajId>{9});
   EXPECT_EQ(to_end.tpq().paths[0], edge_path);
+}
+
+TEST(LiveRepositoryTest, KnnEqualsBruteForceOverSealedAndTailPoints) {
+  // Mid-ingest, a k-NN answer ranks every shard's sealed reconstructions
+  // and raw tail points together: it must be the first k of their union
+  // under (distance, id), whichever side of each shard's cut a point is.
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  LiveRepository::Options options;
+  options.num_shards = 4;
+  options.num_threads = 1;
+  options.watermark_ticks = 7;
+  options.watermark_points = 0;
+  const auto live = std::make_shared<LiveRepository>(PpqAFactory(), options);
+  LiveQueryService::Options serve;
+  serve.num_threads = 2;
+  serve.raw = data;
+  serve.cell_size = CellSize();
+  LiveQueryService service(live, serve);
+
+  Rng rng(13);
+  size_t sealed_answers = 0;
+  size_t tail_answers = 0;
+  for (Tick t = data->MinTick(); t < data->MaxTick(); ++t) {
+    const PointBatch batch = data->BatchAt(t);
+    if (!batch.empty()) {
+      ASSERT_TRUE(live->Append(batch).ok());
+    }
+    if ((t - data->MinTick()) % 5 != 4) continue;
+    live->Quiesce();  // no seal lands between the oracle and the request
+    for (const Tick qt : {t, t - 3, t - 9}) {
+      const TimeSlice slice = data->SliceAt(qt);
+      if (slice.empty()) continue;
+      const Point at = slice.positions[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(slice.size()) - 1))];
+      const Point q{at.x + rng.Uniform(-1e-3, 1e-3),
+                    at.y + rng.Uniform(-1e-3, 1e-3)};
+      std::vector<std::pair<core::Neighbor, bool>> all;  // (n, from tail)
+      for (size_t s = 0; s < live->num_shards(); ++s) {
+        const auto view = live->ShardView(s);
+        core::DecodeMemo memo;
+        for (TrajId id = 0; id < static_cast<TrajId>(data->size()); ++id) {
+          const auto p = view->sealed->Reconstruct(id, qt, &memo);
+          if (!p.ok()) continue;
+          double d = 0.0;
+          simd::Distances(&*p, 1, q, &d);
+          all.push_back({core::Neighbor{id, d}, false});
+        }
+        for (const core::TailChunk* c = view->tail.get(); c != nullptr;
+             c = c->prev.get()) {
+          if (c->slice.tick != qt) continue;
+          for (size_t i = 0; i < c->slice.size(); ++i) {
+            double d = 0.0;
+            simd::Distances(&c->slice.positions[i], 1, q, &d);
+            all.push_back({core::Neighbor{c->slice.ids[i], d}, true});
+          }
+        }
+      }
+      std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+        return core::NeighborOrder(a.first, b.first);
+      });
+      for (const size_t k : {size_t{1}, size_t{5}, size_t{16}}) {
+        std::vector<core::Neighbor> want;
+        for (size_t i = 0; i < all.size() && i < k; ++i) {
+          want.push_back(all[i].first);
+          (all[i].second ? tail_answers : sealed_answers) += 1;
+        }
+        const QueryResponse response =
+            service.Submit(core::KnnRequest{QuerySpec{q, qt}, k}).get();
+        ASSERT_TRUE(response.ok());
+        EXPECT_EQ(response.neighbors(), want)
+            << "query tick " << qt << " at frontier " << t << " k " << k;
+      }
+    }
+  }
+  EXPECT_GT(sealed_answers, 0u);
+  EXPECT_GT(tail_answers, 0u);
 }
 
 // -------------------------------------------------------------------------

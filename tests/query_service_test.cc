@@ -17,6 +17,7 @@
 #include "core/metrics.h"
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 /// \file query_service_test.cc
@@ -238,7 +239,33 @@ TEST(QueryServiceTest, PerQueryStatsCountVerificationCandidates) {
     // Exact STRQ on a populated cell must have decoded something.
     if (!response.strq().ids.empty()) {
       EXPECT_GT(response.stats.points_decoded, 0u);
+      EXPECT_GT(response.stats.cells_decoded, 0u);
     }
+  }
+}
+
+TEST(QueryServiceTest, ScanWorkIsCountedPerRequestAndInTheRegistry) {
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  PpqOptions options = MakePpqA();
+  PpqTrajectory method(options);
+  method.Compress(*data);
+  QueryService::Options serve_options;
+  serve_options.num_threads = 1;
+  serve_options.cell_size = options.tpi.pi.cell_size;
+  QueryService service(method.Seal(), serve_options);
+  obs::Counter* const counter = obs::Registry::Default().GetCounter(
+      "ppq_serve_cells_decoded_total");
+
+  Rng rng(31);
+  for (const QuerySpec& q : SampleQueries(*data, 20, &rng)) {
+    const uint64_t before = counter->Value();
+    const QueryResponse response = service.Submit(KnnRequest{q, 4}).get();
+    // The query sits on an indexed point: its cell at least is read, and
+    // every ranked candidate came out of a read cell.
+    EXPECT_GT(response.stats.cells_decoded, 0u);
+    EXPECT_LE(response.stats.cells_decoded, response.stats.points_decoded);
+    // The dispatcher records each response once, before resolving it.
+    EXPECT_EQ(counter->Value() - before, response.stats.cells_decoded);
   }
 }
 

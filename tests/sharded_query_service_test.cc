@@ -15,6 +15,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/simd.h"
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
 #include "core/query_service.h"
@@ -343,6 +344,84 @@ TEST(ShardedMergeTest, KnnTiesAtShardBoundariesResolveById) {
   // And the oracle agrees (it is the general contract, ties included).
   const ShardOracle oracle(repository, raw.get(), cell);
   EXPECT_EQ(response.result, oracle.Eval(KnnRequest{query, 4}));
+}
+
+TEST(ShardedMergeTest, KnnEqualsBruteForceAtSparseTicksOverEightShards) {
+  // Ids 0..7 trace one shared path over ticks 0..29; ids 8..39 walk
+  // apart over ticks 0..19 only. Past tick 19 every shard holds fewer
+  // than k ids (most hold none), and the shared path puts equal
+  // distances on both sides of shard boundaries. Every answer must be
+  // the first k of all shards' reconstructions under (distance, id).
+  TrajectoryDataset data;
+  Rng walk(5);
+  for (int i = 0; i < 40; ++i) {
+    Trajectory traj;
+    traj.start_tick = 0;
+    Point p{-8.6 + walk.Uniform(-0.01, 0.01), 41.15 + walk.Uniform(-0.01, 0.01)};
+    for (Tick t = 0; t < (i < 8 ? 30 : 20); ++t) {
+      if (i < 8) {
+        p = Point{-8.6 + 1e-3 * std::sin(0.2 * t),
+                  41.15 + 1e-3 * std::cos(0.2 * t)};
+      } else {
+        p = Point{p.x + walk.Uniform(-2e-4, 2e-4),
+                  p.y + walk.Uniform(-2e-4, 2e-4)};
+      }
+      traj.points.push_back(p);
+    }
+    data.Add(std::move(traj));
+  }
+  const RepositorySnapshotPtr repository = BuildRepository(data, 8);
+  const auto raw = std::make_shared<const TrajectoryDataset>(data);
+  const double cell = core::PpqOptions{}.tpi.pi.cell_size;
+  ShardedQueryService::Options options;
+  options.num_threads = 2;
+  options.raw = raw;
+  options.cell_size = cell;
+  ShardedQueryService service(repository, options);
+  const ShardOracle oracle(repository, raw.get(), cell);
+
+  bool sparse_shard = false;
+  bool straddling_tie = false;
+  Rng rng(9);
+  for (Tick t = 0; t < 30; ++t) {
+    // Every shard's reconstructions at t, tagged with their shard.
+    std::vector<std::pair<Neighbor, size_t>> all;
+    const Point q{data[0].At(t).x + rng.Uniform(-2e-3, 2e-3),
+                  data[0].At(t).y + rng.Uniform(-2e-3, 2e-3)};
+    for (size_t s = 0; s < repository->shards().size(); ++s) {
+      core::DecodeMemo memo;
+      size_t held = 0;
+      for (TrajId id = 0; id < 40; ++id) {
+        const auto p = repository->shards()[s]->Reconstruct(id, t, &memo);
+        if (!p.ok()) continue;
+        double d = 0.0;
+        simd::Distances(&*p, 1, q, &d);
+        all.push_back({Neighbor{id, d}, s});
+        ++held;
+      }
+      sparse_shard |= held > 0 && held < kK;
+    }
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      return core::NeighborOrder(a.first, b.first);
+    });
+    for (const size_t k : {size_t{1}, kK, size_t{12}}) {
+      std::vector<Neighbor> want;
+      for (size_t i = 0; i < all.size() && i < k; ++i) {
+        want.push_back(all[i].first);
+        straddling_tie |= i > 0 && all[i].first.distance ==
+                                       all[i - 1].first.distance &&
+                          all[i].second != all[i - 1].second;
+      }
+      const QueryResponse response =
+          service.Submit(KnnRequest{QuerySpec{q, t}, k}).get();
+      ASSERT_TRUE(response.ok());
+      EXPECT_EQ(response.neighbors(), want) << "tick " << t << " k " << k;
+      EXPECT_EQ(response.result, oracle.Eval(KnnRequest{QuerySpec{q, t}, k}))
+          << "tick " << t << " k " << k;
+    }
+  }
+  EXPECT_TRUE(sparse_shard);
+  EXPECT_TRUE(straddling_tie);
 }
 
 TEST(ShardedMergeTest, EmptyShardsAreTransparent) {

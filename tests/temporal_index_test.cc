@@ -113,7 +113,8 @@ TEST(TemporalIndexTest, QueryCircleFindsNeighbours) {
   Rng rng(6);
   TemporalPartitionIndex tpi(SmallOptions());
   tpi.Observe(SliceAt(0, {{0.0, 0.0}, {0.05, 0.0}, {3.0, 3.0}}));
-  const auto ids = tpi.QueryCircle({0.02, 0.0}, 0.2, 0);
+  std::vector<TrajId> ids;
+  tpi.QueryCircle({0.02, 0.0}, 0.2, 0, &ids);
   EXPECT_EQ(ids.size(), 2u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/simd.h"
 #include "core/metrics.h"
 #include "core/ppq_trajectory.h"
 #include "core/query_engine.h"
@@ -132,6 +133,85 @@ TEST(NearestTrajectoriesTest, WithinBoundOfTrueNearest) {
       // the true i-th nearest distance.
       EXPECT_LE(std::fabs(neighbors[i].distance - truth[i]), 2 * bound + 1e-9)
           << "rank " << i;
+    }
+  }
+}
+
+/// The k nearest reconstructions at q.tick by brute force: every id that
+/// reconstructs, scored with the same distance kernel, ranked under
+/// NeighborOrder.
+std::vector<Neighbor> BruteForceKnn(const Compressor& method, size_t num_ids,
+                                    const QuerySpec& q, size_t k) {
+  std::vector<Neighbor> all;
+  for (size_t id = 0; id < num_ids; ++id) {
+    const auto p = method.Reconstruct(static_cast<TrajId>(id), q.tick);
+    if (!p.ok()) continue;
+    double d = 0.0;
+    simd::Distances(&*p, 1, q.position, &d);
+    all.push_back({static_cast<TrajId>(id), d});
+  }
+  std::sort(all.begin(), all.end(), NeighborOrder);
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+TEST(NearestTrajectoriesTest, EqualsBruteForceOverReconstructions) {
+  const Fixture f = MakeFixture(17);
+  const QueryEngine sealed(f.method->Seal(), &f.dataset,
+                           f.engine->cell_size());
+  const BoundingBox box = f.dataset.Bounds();
+  Rng rng(21);
+  for (int trial = 0; trial < 240; ++trial) {
+    const Tick t = static_cast<Tick>(
+        rng.UniformInt(f.dataset.MinTick(), f.dataset.MaxTick()));
+    // Half the queries sit on a trajectory, half anywhere in (or just
+    // outside) the data's bounds.
+    Point p{rng.Uniform(box.min_x - 0.01, box.max_x + 0.01),
+            rng.Uniform(box.min_y - 0.01, box.max_y + 0.01)};
+    if (trial % 2 == 0) {
+      const auto& traj = f.dataset[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(f.dataset.size()) - 1))];
+      if (traj.ActiveAt(t)) p = traj.At(t);
+    }
+    const QuerySpec q{p, t};
+    const size_t k = static_cast<size_t>(rng.UniformInt(1, 24));
+    const auto want = BruteForceKnn(*f.method, f.dataset.size(), q, k);
+    EXPECT_EQ(f.engine->NearestTrajectories(q, k), want) << "trial " << trial;
+    EXPECT_EQ(sealed.NearestTrajectories(q, k), want) << "trial " << trial;
+  }
+}
+
+TEST(NearestTrajectoriesTest, SparseNeighboursAcrossCellRingsAreExact) {
+  // A few parked trajectories a few cells apart, probed from a lattice of
+  // query points around them: many probes have their k-th neighbour in a
+  // cell beyond the cells nearest the query, where a search that stops
+  // once it holds k ids within a ring of cells can return a farther
+  // trajectory than one it never scanned.
+  const double c = PpqOptions{}.tpi.pi.cell_size;
+  const Point origin{-8.6, 41.15};
+  const auto at = [&](double x, double y) {
+    return Point{origin.x + x * c, origin.y + y * c};
+  };
+  const Point positions[] = {at(0.0, 0.0), at(2.5, 2.5), at(3.99, 3.99),
+                             at(4.1, 1.2), at(0.7, 4.4), at(5.6, 0.3)};
+  TrajectoryDataset data;
+  for (const Point& p : positions) {
+    Trajectory traj;
+    traj.start_tick = 0;
+    traj.points.assign(10, p);
+    data.Add(std::move(traj));
+  }
+  PpqTrajectory method(MakePpqA());
+  method.Compress(data);
+  const QueryEngine engine(&method, &data, c);
+  for (double x = -2.0; x <= 8.0; x += 0.25) {
+    for (double y = -2.0; y <= 7.0; y += 0.25) {
+      const QuerySpec q{at(x, y), 5};
+      for (size_t k = 1; k <= 4; ++k) {
+        EXPECT_EQ(engine.NearestTrajectories(q, k),
+                  BruteForceKnn(method, data.size(), q, k))
+            << "probe (" << x << ", " << y << ") k " << k;
+      }
     }
   }
 }
