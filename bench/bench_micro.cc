@@ -158,9 +158,14 @@ BENCHMARK(BM_HuffmanRoundTrip);
 void BM_GridIndexQuery(benchmark::State& state) {
   index::GridIndex grid(index::Rect{0.0, 0.0, 1.0, 1.0}, 0.01);
   const auto points = RandomPoints(50000, 1.0, 8);
-  for (size_t i = 0; i < points.size(); ++i) {
-    grid.Insert(static_cast<Tick>(i % 100), static_cast<TrajId>(i),
-                points[i]);
+  for (Tick t = 0; t < 100; ++t) {
+    std::vector<TrajId> ids;
+    std::vector<Point> positions;
+    for (size_t i = static_cast<size_t>(t); i < points.size(); i += 100) {
+      ids.push_back(static_cast<TrajId>(i));
+      positions.push_back(points[i]);
+    }
+    grid.Insert(t, ids.data(), positions.data(), ids.size());
   }
   grid.Finalize();
   size_t i = 0;

@@ -70,7 +70,7 @@ void ContainsMaskScalar(const Point* pts, size_t n, double min_x, double min_y,
 
 /// out[i] = Euclidean distance from pts[i] to the rectangle (0 inside),
 /// computed as sqrt(dx*dx + dy*dy) with dx = max(max(min_x - x, 0), x - max_x)
-/// under MaxPd semantics. Matches eval::GridCell::Distance / WindowDistance.
+/// under MaxPd semantics. Matches index::Rect::DistanceTo.
 void RegionDistances(const Point* pts, size_t n, double min_x, double min_y,
                      double max_x, double max_y, double* out);
 void RegionDistancesScalar(const Point* pts, size_t n, double min_x,

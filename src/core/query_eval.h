@@ -208,12 +208,6 @@ struct GridCell {
   bool Contains(const Point& p) const {
     return p.x >= min_x && p.x < max_x && p.y >= min_y && p.y < max_y;
   }
-  /// Euclidean distance from p to the cell (0 inside).
-  double Distance(const Point& p) const {
-    const double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
-    const double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
-    return std::sqrt(dx * dx + dy * dy);
-  }
   Point Center() const {
     return {(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
   }
@@ -226,12 +220,6 @@ inline GridCell CellOf(const Point& p, double cell_size) {
                   (cy + 1) * cell_size};
 }
 
-inline double WindowDistance(const Window& window, const Point& p) {
-  const double dx = std::max({window.min_x - p.x, 0.0, p.x - window.max_x});
-  const double dy = std::max({window.min_y - p.y, 0.0, p.y - window.max_y});
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 /// \brief Decoded candidate set at one tick: parallel id/position arrays,
 /// compact so the geometry kernels can run over the positions directly.
 struct DecodedCandidates {
@@ -239,25 +227,26 @@ struct DecodedCandidates {
   std::vector<Point> positions;
 };
 
-/// Decode every candidate's position at tick \p t. Candidates that fail to
-/// decode (expired id, tick outside the record) are dropped, exactly like
-/// the historical `if (!recon.ok()) continue;`. Goes through the span API
+/// Decode every candidate's position at tick \p t into \p out, replacing
+/// what it held (its buffers are reused). Candidates that fail to decode
+/// (expired id, tick outside the record) are dropped, exactly like the
+/// historical `if (!recon.ok()) continue;`. Goes through the span API
 /// (n = 1) so CountingReader attributes cost identically either way.
 template <typename Reader>
-DecodedCandidates DecodeAt(const Reader& reader,
-                           const std::vector<TrajId>& candidates, Tick t) {
+void DecodeAt(const Reader& reader, const std::vector<TrajId>& candidates,
+              Tick t, DecodedCandidates* out) {
   PPQ_ZONE("eval.decode");
-  DecodedCandidates out;
-  out.ids.reserve(candidates.size());
-  out.positions.reserve(candidates.size());
+  out->ids.clear();
+  out->positions.clear();
+  out->ids.reserve(candidates.size());
+  out->positions.reserve(candidates.size());
   Point p;
   for (TrajId id : candidates) {
     if (reader.ReconstructSpan(id, t, 1, &p) == 1) {
-      out.ids.push_back(id);
-      out.positions.push_back(p);
+      out->ids.push_back(id);
+      out->positions.push_back(p);
     }
   }
-  return out;
 }
 
 /// Spatio-temporal range query at (q.position, q.tick).
@@ -287,7 +276,8 @@ StrqResult Strq(const Reader& reader, const TrajectoryDataset* raw,
     coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
   }
 
-  const DecodedCandidates decoded = DecodeAt(reader, coarse, q.tick);
+  DecodedCandidates decoded;
+  DecodeAt(reader, coarse, q.tick, &decoded);
   const size_t n = decoded.positions.size();
 
   PPQ_ZONE("eval.kernel");
@@ -355,7 +345,8 @@ StrqResult WindowQuery(const Reader& reader, const TrajectoryDataset* raw,
     coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
   }
 
-  const DecodedCandidates decoded = DecodeAt(reader, coarse, t);
+  DecodedCandidates decoded;
+  DecodeAt(reader, coarse, t, &decoded);
   const size_t n = decoded.positions.size();
 
   PPQ_ZONE("eval.kernel");
@@ -440,7 +431,7 @@ std::vector<Neighbor> NearestTrajectories(
   }
 
   std::vector<TrajId> ids;
-  std::vector<Point> positions;
+  DecodedCandidates decoded;
   std::vector<double> dist;
   size_t cells = 0;
   while (!frontier.empty()) {
@@ -460,34 +451,29 @@ std::vector<Neighbor> NearestTrajectories(
       ++cells;
     }
 
-    // Ids that fail to decode (expired id, tick outside the record) are
-    // dropped. Single-point spans, so CountingReader attributes cost as
-    // for every other candidate decode.
-    size_t n = 0;
-    {
-      PPQ_ZONE("eval.decode");
-      positions.resize(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if (reader.ReconstructSpan(ids[i], q.tick, 1, &positions[n]) == 1) {
-          ids[n++] = ids[i];
-        }
-      }
-    }
+    DecodeAt(reader, ids, q.tick, &decoded);
+    const size_t n = decoded.ids.size();
 
     PPQ_ZONE("eval.kernel");
     StageTimer timer(stages, ServeStage::kKernel);
     dist.resize(n);
-    simd::Distances(positions.data(), n, q.position, dist.data());
+    simd::Distances(decoded.positions.data(), n, q.position, dist.data());
     for (size_t i = 0; i < n; ++i) {
-      const Neighbor candidate{ids[i], dist[i]};
-      if (best.size() < k) {
-        best.push_back(candidate);
-        std::push_heap(best.begin(), best.end(), NeighborOrder);
-      } else if (NeighborOrder(candidate, best.front())) {
-        std::pop_heap(best.begin(), best.end(), NeighborOrder);
-        best.back() = candidate;
-        std::push_heap(best.begin(), best.end(), NeighborOrder);
+      const Neighbor candidate{decoded.ids[i], dist[i]};
+      if (best.size() == k && !NeighborOrder(candidate, best.front())) continue;
+      // An id indexed twice at the tick (a batch that repeated it) has one
+      // reconstruction, so it is ranked once.
+      if (std::any_of(best.begin(), best.end(), [&](const Neighbor& b) {
+            return b.id == candidate.id;
+          })) {
+        continue;
       }
+      if (best.size() == k) {
+        std::pop_heap(best.begin(), best.end(), NeighborOrder);
+        best.pop_back();
+      }
+      best.push_back(candidate);
+      std::push_heap(best.begin(), best.end(), NeighborOrder);
     }
   }
   std::sort_heap(best.begin(), best.end(), NeighborOrder);

@@ -36,7 +36,9 @@ inline StrqResult MergeStrq(std::vector<StrqResult> parts) {
 /// Re-merge of per-part top-k lists: the shared NeighborOrder
 /// ranking — the SAME function the unsharded ranking sorts with, so
 /// equal distances straddling a part boundary resolve identically by
-/// construction — then truncate to k.
+/// construction — then the first k distinct ids. A tail part lists every
+/// raw point of its tick, so an id a retried batch appended twice there
+/// keeps only its nearest entry.
 inline std::vector<Neighbor> MergeKnn(
     std::vector<std::vector<Neighbor>> parts, size_t k) {
   std::vector<Neighbor> merged;
@@ -44,7 +46,14 @@ inline std::vector<Neighbor> MergeKnn(
     merged.insert(merged.end(), part.begin(), part.end());
   }
   std::sort(merged.begin(), merged.end(), NeighborOrder);
-  if (merged.size() > k) merged.resize(k);
+  size_t kept = 0;
+  for (size_t i = 0; i < merged.size() && kept < k; ++i) {
+    const bool seen =
+        std::any_of(merged.begin(), merged.begin() + static_cast<ptrdiff_t>(kept),
+                    [&](const Neighbor& n) { return n.id == merged[i].id; });
+    if (!seen) merged[kept++] = merged[i];
+  }
+  merged.resize(kept);
   return merged;
 }
 

@@ -165,15 +165,7 @@ size_t GridIndex::QueryCircle(const Point& center, double radius, Tick t,
   size_t decoded = 0;
   const auto visit = [&](size_t li, int64_t cx, int64_t cy) {
     // Reject cells whose closest point to the centre is outside the disc.
-    const double cell_min_x = region_.min_x + cx * cell_size_;
-    const double cell_min_y = region_.min_y + cy * cell_size_;
-    const double nearest_x =
-        std::clamp(center.x, cell_min_x, cell_min_x + cell_size_);
-    const double nearest_y =
-        std::clamp(center.y, cell_min_y, cell_min_y + cell_size_);
-    const double dx = center.x - nearest_x;
-    const double dy = center.y - nearest_y;
-    if (dx * dx + dy * dy > radius * radius) return;
+    if (CellRect(cx, cy).DistanceTo(center) > radius) return;
     AppendIds(li, out);
     ++decoded;
   };
@@ -215,10 +207,7 @@ void GridIndex::CellsAt(const Point& p, Tick t, uint32_t region,
   for (size_t li = begin; li < end; ++li) {
     const int64_t cy = lists_[li].key / cells_x_;
     const int64_t cx = lists_[li].key - cy * cells_x_;
-    const double min_x = region_.min_x + static_cast<double>(cx) * cell_size_;
-    const double min_y = region_.min_y + static_cast<double>(cy) * cell_size_;
-    const Rect cell{min_x, min_y, min_x + cell_size_, min_y + cell_size_};
-    out->push_back({cell.DistanceTo(p), li, region});
+    out->push_back({CellRect(cx, cy).DistanceTo(p), li, region});
   }
 }
 
@@ -297,9 +286,8 @@ void GridIndex::SaveTo(ByteWriter* out) const {
     for (size_t r = i; finalized_ && r < j; ++r) {
       const CellList& list = lists_[order[r]];
       out->WriteI32(tick_of[order[r]]);
-      out->WriteU32(list.count);
-      out->WriteU32(list.bit_count);
-      out->WriteBytes(arena_.data() + list.offset, PackedBytes(list));
+      WritePackedList({list.count, list.bit_count}, arena_.data() + list.offset,
+                      out);
     }
     i = j;
   }
@@ -369,6 +357,8 @@ Result<GridIndex> GridIndex::LoadFrom(ByteReader* in) {
   struct Loaded {
     Tick tick;
     CellList list;
+    /// The tick's position in counts_, set by the transpose below.
+    size_t slot = 0;
   };
   std::vector<Loaded> loaded;
   auto cell_count = in->ReadCount(24);  // key + two map sizes
@@ -385,7 +375,7 @@ Result<GridIndex> GridIndex::LoadFrom(ByteReader* in) {
       if (loaded.size() > first && tick <= loaded.back().tick) {
         return Status::Invalid("GridIndex: cell ticks not ascending");
       }
-      loaded.push_back({tick, list});
+      loaded.push_back({tick, list, 0});
       return Status::OK();
     };
     auto raw_ticks = in->ReadCount(12);  // i32 tick + u64 id count
@@ -419,22 +409,10 @@ Result<GridIndex> GridIndex::LoadFrom(ByteReader* in) {
     for (uint64_t p = 0; p < *packed_ticks; ++p) {
       auto tick = in->ReadI32();
       if (!tick.ok()) return tick.status();
-      auto count = in->ReadU32();
-      if (!count.ok()) return count.status();
-      auto bit_count = in->ReadU32();
-      if (!bit_count.ok()) return bit_count.status();
-      // Every encoded id consumes at least one bit, so a count beyond
-      // bit_count is forged (and would over-reserve at decode).
-      if (*count > *bit_count) {
-        return Status::Invalid("GridIndex: list count exceeds bit count");
-      }
-      const CellList list{cell_key, grid.arena_.size(), *count, *bit_count};
-      const size_t bytes = grid.PackedBytes(list);
-      if (bytes > in->Remaining()) {
-        return Status::Invalid("GridIndex: packed list exceeds buffer");
-      }
-      grid.arena_.resize(grid.arena_.size() + bytes);
-      PPQ_RETURN_NOT_OK(in->ReadBytes(grid.arena_.data() + list.offset, bytes));
+      const uint64_t offset = grid.arena_.size();
+      auto header = ReadPackedList(in, &grid.arena_);
+      if (!header.ok()) return header.status();
+      const CellList list{cell_key, offset, header->count, header->bit_count};
       PPQ_RETURN_NOT_OK(add(*tick, list));
     }
     if (loaded.size() == first) {
@@ -443,44 +421,31 @@ Result<GridIndex> GridIndex::LoadFrom(ByteReader* in) {
   }
   if (loaded.empty()) return grid;
 
-  // Transpose to tick-major. Within a tick the lists keep their file
-  // order, which is ascending by key. A dense tick span (every grid a
-  // writer produces) takes one counting pass; a sparse one, as only a
-  // forgery has, sorts instead of allocating per tick of the span.
-  const auto [lo, hi] = std::minmax_element(
-      loaded.begin(), loaded.end(),
-      [](const Loaded& a, const Loaded& b) { return a.tick < b.tick; });
-  const int64_t min_tick = lo->tick;
-  const auto span = static_cast<uint64_t>(int64_t{hi->tick} - min_tick) + 1;
-  grid.lists_.resize(loaded.size());
-  if (span <= 2 * uint64_t{loaded.size()} + 16) {
-    std::vector<size_t> next(static_cast<size_t>(span) + 1, 0);
-    for (const Loaded& e : loaded) ++next[static_cast<size_t>(e.tick - min_tick) + 1];
-    for (size_t s = 0; s + 1 < next.size(); ++s) {
-      if (next[s + 1] == 0) {
-        next[s + 1] = next[s];
-        continue;
-      }
-      grid.ticks_.push_back(static_cast<Tick>(min_tick + static_cast<int64_t>(s)));
-      grid.run_begin_.push_back(next[s]);
-      next[s + 1] += next[s];
+  // Transpose to tick-major: each list goes to its tick's slot among the
+  // counted ticks (counts_, ascending, one per tick a writer inserted at),
+  // then one counting pass over the slots lays out the runs. Within a
+  // tick the lists keep their file order, which is ascending by key. The
+  // cost scales with the lists, never with the span of their ticks.
+  std::vector<size_t> next(grid.counts_.size() + 1, 0);
+  for (Loaded& e : loaded) {
+    const auto it = std::lower_bound(
+        grid.counts_.begin(), grid.counts_.end(), e.tick,
+        [](const std::pair<Tick, uint64_t>& c, Tick k) { return c.first < k; });
+    if (it == grid.counts_.end() || it->first != e.tick) {
+      return Status::Invalid("GridIndex: list at a tick without a count");
     }
-    for (const Loaded& e : loaded) {
-      grid.lists_[next[static_cast<size_t>(e.tick - min_tick)]++] = e.list;
-    }
-  } else {
-    std::stable_sort(loaded.begin(), loaded.end(),
-                     [](const Loaded& a, const Loaded& b) {
-                       return a.tick < b.tick;
-                     });
-    for (size_t i = 0; i < loaded.size(); ++i) {
-      if (i == 0 || loaded[i].tick != loaded[i - 1].tick) {
-        grid.ticks_.push_back(loaded[i].tick);
-        grid.run_begin_.push_back(i);
-      }
-      grid.lists_[i] = loaded[i].list;
-    }
+    e.slot = static_cast<size_t>(it - grid.counts_.begin());
+    ++next[e.slot + 1];
   }
+  for (size_t s = 0; s < grid.counts_.size(); ++s) {
+    if (next[s + 1] > 0) {
+      grid.ticks_.push_back(grid.counts_[s].first);
+      grid.run_begin_.push_back(next[s]);
+    }
+    next[s + 1] += next[s];
+  }
+  grid.lists_.resize(loaded.size());
+  for (const Loaded& e : loaded) grid.lists_[next[e.slot]++] = e.list;
   // Raw ids stay in file order; re-lay them out in lists_ order.
   if (!grid.finalized_) {
     std::vector<TrajId> ids;

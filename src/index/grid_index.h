@@ -50,14 +50,12 @@ class GridIndex {
 
   bool Contains(const Point& p) const { return region_.Contains(p); }
 
-  /// Index trajectory \p id at position \p p for tick \p t. The caller
-  /// guarantees Contains(p). Must not be called after Finalize.
-  void Insert(Tick t, TrajId id, const Point& p) { Insert(t, &id, &p, 1); }
-
-  /// Index ids[i] at positions[i] for tick \p t, for every i < \p n, with
-  /// one rebuild of the tick's run: a tick's points inserted together cost
-  /// O(n log n). Ticks may arrive in any order; a new newest tick moves
-  /// nothing else.
+  /// Index ids[i] at positions[i] for tick \p t, for every i < \p n; the
+  /// caller guarantees Contains(positions[i]). Must not be called after
+  /// Finalize. Each call rebuilds the tick's run once, so a tick's points
+  /// inserted together cost O(n log n), and inserting them one call at a
+  /// time costs quadratic in the tick's size. Ticks may arrive in any
+  /// order; a new newest tick moves nothing else.
   void Insert(Tick t, const TrajId* ids, const Point* positions, size_t n);
 
   /// Number of ids indexed at tick \p t (the N_{R_i,t} of Definition 5.1).
@@ -100,8 +98,8 @@ class GridIndex {
   /// Inverse of SaveTo. Geometry is validated (finite region, positive
   /// cell size, bounded cell counts) before any allocation; malformed
   /// input yields a Status error. The cell-major bytes are transposed to
-  /// the tick-major layout by a counting pass when the tick span is dense
-  /// and by a sort otherwise, so no allocation scales with a forged span.
+  /// the tick-major layout by a counting pass over the grid's counted
+  /// ticks, so no allocation scales with the span of a forged tick range.
   static Result<GridIndex> LoadFrom(ByteReader* in);
 
  private:
@@ -116,6 +114,12 @@ class GridIndex {
   };
 
   int64_t CellKey(const Point& p) const;
+  /// The rectangle of the cell at column \p cx, row \p cy.
+  Rect CellRect(int64_t cx, int64_t cy) const {
+    const double min_x = region_.min_x + static_cast<double>(cx) * cell_size_;
+    const double min_y = region_.min_y + static_cast<double>(cy) * cell_size_;
+    return Rect{min_x, min_y, min_x + cell_size_, min_y + cell_size_};
+  }
   /// [begin, end) of tick \p t's run in lists_ (empty when absent).
   std::pair<size_t, size_t> RunAt(Tick t) const;
   size_t RunEnd(size_t slot) const {

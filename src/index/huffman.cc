@@ -139,22 +139,24 @@ Result<HuffmanTable> HuffmanTable::LoadFrom(ByteReader* in) {
   return table;
 }
 
-void CompressedIdList::SaveTo(ByteWriter* out) const {
-  out->WriteU32(count);
-  out->WriteU32(bit_count);
-  out->WriteBytes(bytes.data(), bytes.size());
+void WritePackedList(const PackedListHeader& header, const uint8_t* bytes,
+                     ByteWriter* out) {
+  out->WriteU32(header.count);
+  out->WriteU32(header.bit_count);
+  out->WriteBytes(bytes, static_cast<size_t>((uint64_t{header.bit_count} + 7) / 8));
 }
 
-Result<CompressedIdList> CompressedIdList::LoadFrom(ByteReader* in) {
-  CompressedIdList list;
+Result<PackedListHeader> ReadPackedList(ByteReader* in,
+                                        std::vector<uint8_t>* bytes) {
+  PackedListHeader header;
   auto count = in->ReadU32();
   if (!count.ok()) return count.status();
   auto bit_count = in->ReadU32();
   if (!bit_count.ok()) return bit_count.status();
   // Every encoded id consumes at least one bit, so a count beyond
-  // bit_count is forged (and would make DecompressIds over-reserve).
+  // bit_count is forged (and would make the decoder over-reserve).
   if (*count > *bit_count) {
-    return Status::Invalid("CompressedIdList: count exceeds bit count");
+    return Status::Invalid("packed id list: count exceeds bit count");
   }
   // 64-bit on purpose: (bit_count + 7) wraps to 0 in uint32 for forged
   // values near UINT32_MAX, which would slip past the payload bound below
@@ -162,13 +164,14 @@ Result<CompressedIdList> CompressedIdList::LoadFrom(ByteReader* in) {
   const size_t byte_len =
       static_cast<size_t>((uint64_t{*bit_count} + 7) / 8);
   if (byte_len > in->Remaining()) {
-    return Status::Invalid("CompressedIdList: payload exceeds buffer");
+    return Status::Invalid("packed id list: payload exceeds buffer");
   }
-  list.count = *count;
-  list.bit_count = *bit_count;
-  list.bytes.resize(byte_len);
-  PPQ_RETURN_NOT_OK(in->ReadBytes(list.bytes.data(), byte_len));
-  return list;
+  const size_t start = bytes->size();
+  bytes->resize(start + byte_len);
+  PPQ_RETURN_NOT_OK(in->ReadBytes(bytes->data() + start, byte_len));
+  header.count = *count;
+  header.bit_count = *bit_count;
+  return header;
 }
 
 Status HuffmanTable::Encode(uint32_t symbol, BitWriter* writer) const {

@@ -82,6 +82,26 @@ class HuffmanTable {
   int max_length_ = 0;
 };
 
+/// The header of a packed id list: how many ids it holds and how many
+/// bits they take. Its bytes are (bit_count + 7) / 8 long.
+struct PackedListHeader {
+  uint32_t count = 0;
+  uint32_t bit_count = 0;
+};
+
+/// Append a packed list as stored: u32 count, u32 bit_count, then its
+/// (bit_count + 7) / 8 bytes, which \p bytes must hold.
+void WritePackedList(const PackedListHeader& header, const uint8_t* bytes,
+                     ByteWriter* out);
+
+/// Inverse of WritePackedList, the one parser of stored packed lists:
+/// validates the header and appends the list's bytes to \p bytes, which
+/// may already hold other lists (a grid's arena). A count beyond
+/// bit_count (every id takes at least one bit) or a byte length beyond
+/// the input is rejected before anything is allocated.
+Result<PackedListHeader> ReadPackedList(ByteReader* in,
+                                        std::vector<uint8_t>* bytes);
+
 /// \brief Delta + Huffman compressed representation of a sorted ID list.
 struct CompressedIdList {
   std::vector<uint8_t> bytes;
@@ -89,9 +109,6 @@ struct CompressedIdList {
   uint32_t count = 0;
 
   size_t SizeBytes() const { return bytes.size() + sizeof(bit_count) + sizeof(count); }
-
-  void SaveTo(ByteWriter* out) const;
-  static Result<CompressedIdList> LoadFrom(ByteReader* in);
 };
 
 /// Delta-encode \p sorted_ids (ascending; the first entry is stored as a

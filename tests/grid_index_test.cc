@@ -15,6 +15,11 @@ GridIndex MakeUnitGrid(double cell = 0.1) {
   return GridIndex(Rect{0.0, 0.0, 1.0, 1.0}, cell);
 }
 
+/// Index one point: a batch of one.
+void InsertPoint(GridIndex* g, Tick t, TrajId id, Point p) {
+  g->Insert(t, &id, &p, 1);
+}
+
 TEST(GridIndexTest, CellCounts) {
   const GridIndex g = MakeUnitGrid(0.1);
   EXPECT_EQ(g.cells_x(), 10);
@@ -27,9 +32,9 @@ TEST(GridIndexTest, CellCounts) {
 
 TEST(GridIndexTest, InsertAndQuerySameCell) {
   GridIndex g = MakeUnitGrid();
-  g.Insert(5, 1, {0.15, 0.15});
-  g.Insert(5, 2, {0.16, 0.14});
-  g.Insert(5, 3, {0.85, 0.85});
+  InsertPoint(&g, 5, 1, {0.15, 0.15});
+  InsertPoint(&g, 5, 2, {0.16, 0.14});
+  InsertPoint(&g, 5, 3, {0.85, 0.85});
   const auto ids = g.Query({0.12, 0.18}, 5);
   EXPECT_EQ(ids, (std::vector<TrajId>{1, 2}));
   EXPECT_TRUE(g.Query({0.12, 0.18}, 6).empty());  // different tick
@@ -38,9 +43,9 @@ TEST(GridIndexTest, InsertAndQuerySameCell) {
 
 TEST(GridIndexTest, CountAtTracksInserts) {
   GridIndex g = MakeUnitGrid();
-  g.Insert(1, 1, {0.1, 0.1});
-  g.Insert(1, 2, {0.9, 0.9});
-  g.Insert(2, 3, {0.5, 0.5});
+  InsertPoint(&g, 1, 1, {0.1, 0.1});
+  InsertPoint(&g, 1, 2, {0.9, 0.9});
+  InsertPoint(&g, 2, 3, {0.5, 0.5});
   EXPECT_EQ(g.CountAt(1), 2u);
   EXPECT_EQ(g.CountAt(2), 1u);
   EXPECT_EQ(g.CountAt(3), 0u);
@@ -48,15 +53,15 @@ TEST(GridIndexTest, CountAtTracksInserts) {
 
 TEST(GridIndexTest, BoundaryPointsClampIntoGrid) {
   GridIndex g = MakeUnitGrid();
-  g.Insert(0, 7, {1.0, 1.0});  // exactly on the max corner
+  InsertPoint(&g, 0, 7, {1.0, 1.0});  // exactly on the max corner
   EXPECT_EQ(g.Query({0.999, 0.999}, 0), (std::vector<TrajId>{7}));
 }
 
 TEST(GridIndexTest, UnsortedInsertsKeptSorted) {
   GridIndex g = MakeUnitGrid();
-  g.Insert(0, 9, {0.05, 0.05});
-  g.Insert(0, 3, {0.05, 0.05});
-  g.Insert(0, 5, {0.05, 0.05});
+  InsertPoint(&g, 0, 9, {0.05, 0.05});
+  InsertPoint(&g, 0, 3, {0.05, 0.05});
+  InsertPoint(&g, 0, 5, {0.05, 0.05});
   EXPECT_EQ(g.Query({0.05, 0.05}, 0), (std::vector<TrajId>{3, 5, 9}));
 }
 
@@ -67,7 +72,7 @@ TEST(GridIndexTest, FinalizePreservesQueries) {
   for (int i = 0; i < 500; ++i) {
     const Tick t = static_cast<Tick>(rng.UniformInt(0, 5));
     const Point p{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
-    g.Insert(t, static_cast<TrajId>(i), p);
+    InsertPoint(&g, t, static_cast<TrajId>(i), p);
     inserted.push_back({t, static_cast<TrajId>(i), p});
   }
   // Snapshot queries before finalizing.
@@ -85,7 +90,7 @@ TEST(GridIndexTest, FinalizeShrinksDenseIndex) {
   GridIndex g = MakeUnitGrid(1.0);  // single cell: maximal list sharing
   for (int t = 0; t < 10; ++t) {
     for (TrajId id = 0; id < 200; ++id) {
-      g.Insert(t, id, {0.5, 0.5});
+      InsertPoint(&g, t, id, {0.5, 0.5});
     }
   }
   const size_t before = g.SizeBytes();
@@ -99,7 +104,7 @@ TEST(GridIndexTest, QueryCircleMatchesBruteForce) {
   std::vector<std::pair<TrajId, Point>> points;
   for (int i = 0; i < 300; ++i) {
     const Point p{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
-    g.Insert(0, static_cast<TrajId>(i), p);
+    InsertPoint(&g, 0, static_cast<TrajId>(i), p);
     points.push_back({static_cast<TrajId>(i), p});
   }
   for (int trial = 0; trial < 30; ++trial) {
@@ -154,7 +159,7 @@ TEST(GridIndexTest, OutOfOrderTicksQueryAndRoundTripByteForByte) {
     const Tick t = ticks[i % 8];
     const Point p{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)};
     const auto id = static_cast<TrajId>(1000 - 2 * i);  // descending
-    g.Insert(t, id, p);
+    InsertPoint(&g, t, id, p);
     const int64_t key = static_cast<int64_t>(std::floor(p.y / 0.1)) * 10 +
                         static_cast<int64_t>(std::floor(p.x / 0.1));
     truth[{t, key}].push_back(id);
@@ -228,7 +233,7 @@ TEST(GridIndexTest, BatchInsertsEqualPointInserts) {
     for (int i = 0; i < 60; ++i) {
       ids.push_back(static_cast<TrajId>(rng.UniformInt(0, 500)));
       positions.push_back({rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 0.3)});
-      pointwise.Insert(t, ids.back(), positions.back());
+      InsertPoint(&pointwise, t, ids.back(), positions.back());
     }
     batched.Insert(t, ids.data(), positions.data(), ids.size());
   }
@@ -243,16 +248,16 @@ TEST(GridIndexTest, BatchInsertsEqualPointInserts) {
 }
 
 TEST(GridIndexTest, TickSpanNearTwoToThe31RoundTrips) {
-  // A grid whose ticks span ~2^31 must load through the sorting path
-  // (no per-tick allocation over the span) and serve the same lists.
+  // A grid whose ticks span ~2^31 must load without a per-tick
+  // allocation over the span and serve the same lists.
   constexpr Tick kMin = std::numeric_limits<Tick>::min();
   constexpr Tick kMax = std::numeric_limits<Tick>::max();
   for (const bool finalize : {false, true}) {
     GridIndex g = MakeUnitGrid();
-    g.Insert(kMax, 4, {0.15, 0.15});
-    g.Insert(kMin, 2, {0.15, 0.15});
-    g.Insert(0, 3, {0.85, 0.15});
-    g.Insert(kMin, 1, {0.15, 0.15});
+    InsertPoint(&g, kMax, 4, {0.15, 0.15});
+    InsertPoint(&g, kMin, 2, {0.15, 0.15});
+    InsertPoint(&g, 0, 3, {0.85, 0.15});
+    InsertPoint(&g, kMin, 1, {0.15, 0.15});
     if (finalize) g.Finalize();
     const GridIndex loaded = RoundTrip(g);
     EXPECT_EQ(loaded.Query({0.15, 0.15}, kMin), (std::vector<TrajId>{1, 2}));
@@ -263,15 +268,29 @@ TEST(GridIndexTest, TickSpanNearTwoToThe31RoundTrips) {
 }
 
 TEST(GridIndexTest, ForgedListOrderIsRejectedAtLoad) {
-  // Writers emit ascending cell keys, ascending ticks within a cell and
-  // only the list kind the finalized flag names.
+  // Writers emit ascending cell keys, ascending ticks within a cell,
+  // only the list kind the finalized flag names, and a count for every
+  // tick that holds a list.
   const auto grid_bytes = [](uint8_t finalized, uint64_t key_a,
-                             uint64_t key_b, Tick tick_a, Tick tick_b) {
+                             uint64_t key_b, Tick tick_a, Tick tick_b,
+                             bool counted = true) {
     ByteWriter out;
     for (double v : {0.0, 0.0, 1.0, 1.0, 0.1}) out.WriteF64(v);
     out.WriteU8(finalized);
     out.WriteU32(0);  // empty huffman table
-    out.WriteU64(0);  // no per-tick counts
+    if (!counted) {
+      out.WriteU64(0);  // no per-tick counts
+    } else if (tick_a == tick_b) {
+      out.WriteU64(1);
+      out.WriteI32(tick_a);
+      out.WriteU64(2);
+    } else {
+      out.WriteU64(2);
+      for (const Tick tick : {tick_a, tick_b}) {
+        out.WriteI32(tick);
+        out.WriteU64(1);
+      }
+    }
     out.WriteU64(2);  // two cells, one raw list of one id each
     for (const auto& [key, tick] : {std::pair{key_a, tick_a}, std::pair{key_b, tick_b}}) {
       out.WriteU64(key);
@@ -291,12 +310,50 @@ TEST(GridIndexTest, ForgedListOrderIsRejectedAtLoad) {
   EXPECT_FALSE(load(grid_bytes(0, 4, 3, 1, 1)).ok());  // keys descending
   EXPECT_FALSE(load(grid_bytes(0, 3, 3, 1, 2)).ok());  // duplicate key
   EXPECT_FALSE(load(grid_bytes(1, 3, 4, 1, 1)).ok());  // raw list, finalized
+  EXPECT_TRUE(load(grid_bytes(0, 3, 4, 1, 2)).ok());
+  EXPECT_FALSE(load(grid_bytes(0, 3, 4, 1, 2, false)).ok());  // no counts
+}
+
+TEST(GridIndexTest, ForgedPackedListHeaderIsRejectedAtLoad) {
+  // A finalized grid's lists go through ReadPackedList, the parser the
+  // CompressedIdListIoTest forgeries pin: a count beyond bit_count, or a
+  // bit_count whose bytes are not there (one near UINT32_MAX once wrapped
+  // the byte length to 0), is rejected at load.
+  const auto grid_bytes = [](uint32_t count, uint32_t bit_count) {
+    ByteWriter out;
+    for (double v : {0.0, 0.0, 1.0, 1.0, 0.1}) out.WriteF64(v);
+    out.WriteU8(1);   // finalized
+    out.WriteU32(0);  // empty huffman table
+    out.WriteU64(1);  // one count, at tick 0
+    out.WriteI32(0);
+    out.WriteU64(count);
+    out.WriteU64(1);  // one cell with one packed list
+    out.WriteU64(3);
+    out.WriteU64(0);
+    out.WriteU64(1);
+    out.WriteI32(0);
+    out.WriteU32(count);
+    out.WriteU32(bit_count);
+    out.WriteU8(0xFF);  // one payload byte
+    return out.buffer();
+  };
+  const auto load = [](const std::vector<uint8_t>& bytes) {
+    ByteReader in(bytes);
+    return GridIndex::LoadFrom(&in);
+  };
+  EXPECT_TRUE(load(grid_bytes(1, 8)).ok());
+  for (const auto& [count, bit_count] :
+       {std::pair<uint32_t, uint32_t>{2, 1}, {1, 9}, {0xFFFFFFFAu, 0xFFFFFFFAu}}) {
+    const auto grid = load(grid_bytes(count, bit_count));
+    ASSERT_FALSE(grid.ok()) << count << " ids in " << bit_count << " bits";
+    EXPECT_EQ(grid.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(GridIndexTest, SizeBytesGrowsWithContent) {
   GridIndex g = MakeUnitGrid();
   const size_t empty = g.SizeBytes();
-  g.Insert(0, 1, {0.5, 0.5});
+  InsertPoint(&g, 0, 1, {0.5, 0.5});
   EXPECT_GT(g.SizeBytes(), empty);
 }
 
@@ -335,7 +392,7 @@ TEST(GridIndexTest, ExtremeCoordinatesDoNotOverflowCellMath) {
   // The far-away probe clamps into the edge cell; surviving the calls
   // (especially under UBSan) is the point, whatever they return.
   GridIndex unit = MakeUnitGrid();
-  unit.Insert(0, 7, {0.5, 0.5});
+  InsertPoint(&unit, 0, 7, {0.5, 0.5});
   (void)unit.Query({1e300, 1e300}, 0);
   out.clear();
   unit.QueryCircle({-1e300, 1e300}, 1e280, 0, &out);

@@ -175,13 +175,21 @@ TEST(CompressedIdListIoTest, RoundTripsThroughByteWriter) {
   ASSERT_TRUE(packed.ok());
 
   ByteWriter out;
-  packed->SaveTo(&out);
+  WritePackedList({packed->count, packed->bit_count}, packed->bytes.data(),
+                  &out);
   ByteReader in(out.buffer());
-  const auto loaded = CompressedIdList::LoadFrom(&in);
+  std::vector<uint8_t> arena = {0xAB};  // a list already held stays put
+  const auto loaded = ReadPackedList(&in, &arena);
   ASSERT_TRUE(loaded.ok());
-  const auto unpacked = DecompressIds(*loaded, table);
-  ASSERT_TRUE(unpacked.ok());
-  EXPECT_EQ(*unpacked, ids);
+  EXPECT_EQ(loaded->count, packed->count);
+  EXPECT_EQ(loaded->bit_count, packed->bit_count);
+  ASSERT_EQ(arena.size(), 1 + packed->bytes.size());
+  EXPECT_EQ(arena[0], 0xAB);
+  std::vector<int32_t> unpacked;
+  ASSERT_TRUE(AppendDecompressedIds(arena.data() + 1, loaded->bit_count,
+                                    loaded->count, table, &unpacked)
+                  .ok());
+  EXPECT_EQ(unpacked, ids);
 }
 
 TEST(CompressedIdListIoTest, ForgedDeltaOverflowIsRejectedAtDecode) {
@@ -214,9 +222,11 @@ TEST(CompressedIdListIoTest, ForgedBitCountNearUint32MaxIsRejected) {
   out.WriteU32(0xFFFFFFFAu);  // count
   out.WriteU32(0xFFFFFFFAu);  // bit_count
   ByteReader in(out.buffer());
-  const auto loaded = CompressedIdList::LoadFrom(&in);
+  std::vector<uint8_t> arena;
+  const auto loaded = ReadPackedList(&in, &arena);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(arena.empty());
 }
 
 }  // namespace

@@ -301,6 +301,95 @@ TEST(LiveRepositoryTest, KnnEqualsBruteForceOverSealedAndTailPoints) {
   EXPECT_GT(tail_answers, 0u);
 }
 
+TEST(LiveRepositoryTest, KnnRanksAnIdAppendedTwiceAtOneTickOnce) {
+  // A batch retried at its tick merges into the shard's staging tick, so
+  // the tail holds every id of that tick twice, and so does the sealed
+  // grid once the tick seals. k-NN ranks each id once, on either side of
+  // the seal: the answer is the first k distinct ids.
+  const auto data = std::make_shared<const TrajectoryDataset>(SmallDataset());
+  LiveRepository::Options options;
+  options.num_shards = 2;
+  options.num_threads = 1;
+  options.watermark_ticks = 1000;  // nothing seals before RollAll
+  options.watermark_points = 0;
+  const auto live = std::make_shared<LiveRepository>(PpqAFactory(), options);
+  LiveQueryService::Options serve;
+  serve.num_threads = 1;
+  serve.raw = data;
+  serve.cell_size = CellSize();
+  LiveQueryService service(live, serve);
+
+  const Tick qt = data->MinTick() + 12;
+  for (Tick t = data->MinTick(); t <= qt; ++t) {
+    const PointBatch batch = data->BatchAt(t);
+    if (batch.empty()) continue;
+    ASSERT_TRUE(live->Append(batch).ok());
+    if (t == qt) {
+      ASSERT_TRUE(live->Append(batch).ok());
+    }
+  }
+  const TimeSlice slice = data->SliceAt(qt);
+  ASSERT_GE(slice.size(), 4u);
+
+  // The oracle: every shard's sealed reconstructions and tail points at
+  // qt, ranked, each id kept once.
+  const auto distinct_ranking = [&](const Point& q) {
+    std::vector<core::Neighbor> all;
+    for (size_t s = 0; s < live->num_shards(); ++s) {
+      const auto view = live->ShardView(s);
+      core::DecodeMemo memo;
+      for (TrajId id = 0; id < static_cast<TrajId>(data->size()); ++id) {
+        const auto p = view->sealed->Reconstruct(id, qt, &memo);
+        if (!p.ok()) continue;
+        double d = 0.0;
+        simd::Distances(&*p, 1, q, &d);
+        all.push_back({id, d});
+      }
+      for (const core::TailChunk* c = view->tail.get(); c != nullptr;
+           c = c->prev.get()) {
+        if (c->slice.tick != qt) continue;
+        for (size_t i = 0; i < c->slice.size(); ++i) {
+          double d = 0.0;
+          simd::Distances(&c->slice.positions[i], 1, q, &d);
+          all.push_back({c->slice.ids[i], d});
+        }
+      }
+    }
+    std::sort(all.begin(), all.end(), core::NeighborOrder);
+    std::vector<core::Neighbor> distinct;
+    for (const core::Neighbor& n : all) {
+      if (std::none_of(distinct.begin(), distinct.end(),
+                       [&](const core::Neighbor& d) { return d.id == n.id; })) {
+        distinct.push_back(n);
+      }
+    }
+    return distinct;
+  };
+  const auto check = [&](const char* side) {
+    for (size_t i = 0; i < slice.size(); i += 3) {
+      const Point q{slice.positions[i].x + 1e-4, slice.positions[i].y};
+      const std::vector<core::Neighbor> ranking = distinct_ranking(q);
+      ASSERT_EQ(ranking.size(), slice.size()) << side;
+      for (const size_t k : {size_t{1}, size_t{3}, slice.size() + 2}) {
+        const std::vector<core::Neighbor> want(
+            ranking.begin(),
+            ranking.begin() + static_cast<ptrdiff_t>(std::min(k, ranking.size())));
+        const QueryResponse response =
+            service.Submit(core::KnnRequest{QuerySpec{q, qt}, k}).get();
+        ASSERT_TRUE(response.ok());
+        EXPECT_EQ(response.neighbors(), want) << side << " k " << k;
+      }
+    }
+  };
+  check("tail");
+  live->RollAll();
+  live->Quiesce();
+  for (size_t s = 0; s < live->num_shards(); ++s) {
+    EXPECT_EQ(live->ShardView(s)->tail, nullptr) << "shard " << s;
+  }
+  check("sealed");
+}
+
 // -------------------------------------------------------------------------
 // The staleness bound, across roll and background-seal boundaries
 // -------------------------------------------------------------------------
